@@ -9,7 +9,7 @@ use gumbo_core::msj::build_msj_job;
 use gumbo_core::oneround::build_same_key_job;
 use gumbo_core::{PayloadMode, QueryContext};
 use gumbo_datagen::queries;
-use gumbo_mr::{Engine, EngineConfig, JobConfig, MrProgram};
+use gumbo_mr::{EngineConfig, JobConfig, MrProgram, ParallelExecutor};
 use gumbo_storage::SimDfs;
 
 const TUPLES: usize = 5_000;
@@ -18,7 +18,7 @@ fn msj_group_sizes(c: &mut Criterion) {
     let w = queries::a1().with_tuples(TUPLES);
     let db = w.spec.database(1);
     let ctx = QueryContext::new(w.query.queries().to_vec()).unwrap();
-    let engine = Engine::new(EngineConfig::unscaled());
+    let engine = ParallelExecutor::with_threads(EngineConfig::unscaled(), 1);
 
     let mut group = c.benchmark_group("msj_group_size");
     for k in [1usize, 2, 4] {
@@ -38,7 +38,7 @@ fn payload_modes(c: &mut Criterion) {
     let w = queries::a1().with_tuples(TUPLES);
     let db = w.spec.database(1);
     let ctx = QueryContext::new(w.query.queries().to_vec()).unwrap();
-    let engine = Engine::new(EngineConfig::unscaled());
+    let engine = ParallelExecutor::with_threads(EngineConfig::unscaled(), 1);
 
     let mut group = c.benchmark_group("msj_payload_mode");
     for (label, mode) in [
@@ -60,7 +60,7 @@ fn eval_job(c: &mut Criterion) {
     let w = queries::a1().with_tuples(TUPLES);
     let db = w.spec.database(1);
     let ctx = QueryContext::new(w.query.queries().to_vec()).unwrap();
-    let engine = Engine::new(EngineConfig::unscaled());
+    let engine = ParallelExecutor::with_threads(EngineConfig::unscaled(), 1);
     // Materialize the X relations once.
     let base = SimDfs::from_database(&db);
     let msj = build_msj_job(
@@ -85,7 +85,7 @@ fn one_round_vs_two_round(c: &mut Criterion) {
     let w = queries::a3().with_tuples(TUPLES);
     let db = w.spec.database(1);
     let ctx = QueryContext::new(w.query.queries().to_vec()).unwrap();
-    let engine = Engine::new(EngineConfig::unscaled());
+    let engine = ParallelExecutor::with_threads(EngineConfig::unscaled(), 1);
 
     let mut group = c.benchmark_group("a3_pipeline");
     group.bench_function("one_round", |b| {

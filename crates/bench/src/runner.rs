@@ -90,7 +90,7 @@ impl Default for RunConfig {
             selectivity: 0.5,
             seed: 1,
             verify: true,
-            executor: ExecutorKind::Simulated,
+            executor: ExecutorKind::default(),
             trace: None,
             trace_format: gumbo_obs::TraceFormat::Chrome,
             metrics_dump: false,
@@ -337,22 +337,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_executor_matches_simulated_run_results() {
+    fn thread_count_does_not_change_run_results() {
         let w = queries::a3();
         for strategy in [Strategy::Greedy, Strategy::Seq, Strategy::OneRound] {
-            let sim = run_strategy(strategy, &w, &tiny()).unwrap();
+            let one = run_strategy(strategy, &w, &tiny()).unwrap();
             let par_cfg = RunConfig {
                 executor: ExecutorKind::Parallel { threads: 4 },
                 ..tiny()
             };
             let par = run_strategy(strategy, &w, &par_cfg).unwrap();
-            assert_eq!(sim.output_tuples, par.output_tuples, "{strategy:?}");
-            assert_eq!(sim.rounds, par.rounds, "{strategy:?}");
-            assert_eq!(sim.jobs, par.jobs, "{strategy:?}");
-            assert!((sim.net - par.net).abs() < 1e-9, "{strategy:?}");
-            assert!((sim.total - par.total).abs() < 1e-9, "{strategy:?}");
-            assert_eq!(sim.input_gb, par.input_gb, "{strategy:?}");
-            assert_eq!(sim.comm_gb, par.comm_gb, "{strategy:?}");
+            assert_eq!(one.output_tuples, par.output_tuples, "{strategy:?}");
+            assert_eq!(one.rounds, par.rounds, "{strategy:?}");
+            assert_eq!(one.jobs, par.jobs, "{strategy:?}");
+            assert!((one.net - par.net).abs() < 1e-9, "{strategy:?}");
+            assert!((one.total - par.total).abs() < 1e-9, "{strategy:?}");
+            assert_eq!(one.input_gb, par.input_gb, "{strategy:?}");
+            assert_eq!(one.comm_gb, par.comm_gb, "{strategy:?}");
         }
     }
 

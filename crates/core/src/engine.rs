@@ -155,9 +155,9 @@ impl EvalOptions {
 /// The Gumbo query engine.
 ///
 /// Planning is independent of the runtime; execution is routed through
-/// the [`Executor`] trait, so the same engine can run its plans on the
-/// deterministic simulator (the default) or on the multi-threaded
-/// [`gumbo_mr::ParallelExecutor`] — see [`GumboEngine::with_executor`].
+/// the [`Executor`] trait onto [`gumbo_mr::ParallelExecutor`] with one
+/// worker by default, or any pool size — see
+/// [`GumboEngine::with_executor`].
 #[derive(Debug, Clone, Copy)]
 pub struct GumboEngine {
     /// The MapReduce substrate configuration (scale, cluster, cost model).
@@ -169,9 +169,9 @@ pub struct GumboEngine {
 }
 
 impl GumboEngine {
-    /// Create an engine on the default (simulated) runtime.
+    /// Create an engine on the default runtime (one worker).
     pub fn new(config: EngineConfig, options: EvalOptions) -> Self {
-        GumboEngine::with_executor(config, ExecutorKind::Simulated, options)
+        GumboEngine::with_executor(config, ExecutorKind::default(), options)
     }
 
     /// Create an engine on an explicit runtime.

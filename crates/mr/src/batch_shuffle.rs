@@ -1,9 +1,8 @@
-//! The columnar (batch-at-a-time) data plane of the shuffle.
+//! The columnar (batch-at-a-time) shuffle.
 //!
-//! [`crate::shuffle::SpillingPartition`] moves owned `(Tuple, Message)`
-//! pairs — one heap allocation per tuple, one budget interaction and one
-//! codec call per pair. This module is the same machinery re-expressed
-//! over [`gumbo_common::TupleBatch`] columns:
+//! Rather than moving owned `(Tuple, Message)` pairs — one heap
+//! allocation per tuple, one budget interaction and one codec call per
+//! pair — the shuffle carries [`gumbo_common::TupleBatch`] columns:
 //!
 //! * [`PairBatch`] — a columnar batch of `(key, message)` pairs: keys and
 //!   payload tuples live in per-arity [`TupleBatch`] arenas (contiguous
@@ -16,20 +15,21 @@
 //!   per pair, and spills length-prefixed **columnar frames**
 //!   ([`gumbo_storage::FrameFormat::Columnar`]) of up to
 //!   [`ROWS_PER_FRAME`] rows;
-//! * [`BatchGroupStream`] — the k-way merge the reducer consumes,
+//! * [`BatchGroups`] — the k-way merge the reducer consumes,
 //!   iterating zero-copy [`TupleView`]s over decoded frame buffers and
 //!   materializing one owned key per *group* (not per pair).
 //!
-//! **Equivalence.** Grouping order is identical to the pair plane: runs
-//! are stable-sorted contiguous slices of the emission-order sequence,
-//! keys ascend under `Tuple`'s order (which [`TupleView`]'s order
-//! replicates exactly), and ties drain earlier sources first. Byte
-//! accounting is identical too — a row's bytes are
+//! **Grouping order.** A reducer sees exactly the grouping of a
+//! `BTreeMap<Tuple, Vec<Message>>` built in emission order: runs are
+//! stable-sorted contiguous slices of the emission-order sequence, keys
+//! ascend under `Tuple`'s order (which [`TupleView`]'s order replicates
+//! exactly), and ties drain earlier sources first. Byte accounting is
+//! that of the owned pairs — a row's bytes are
 //! `key.estimated_bytes() + message.estimated_bytes()` computed from the
 //! columnar form — so `reducer_bytes`, spill volumes and every
-//! `JobStats` counter match the pair plane number for number. Spill
-//! *statistics* remain excluded from cross-runtime equivalence, as
-//! before.
+//! `JobStats` counter follow the paper's layout. Spill *statistics* stay
+//! excluded from equivalence checks: concurrent jobs sharing a budget
+//! may flush at different moments.
 
 use std::cmp::Ordering;
 
@@ -212,13 +212,16 @@ impl TupleStore {
     }
 
     fn decode_from(buf: &[u8], pos: &mut usize) -> Result<TupleStore> {
+        // Counts come from the frame: size allocations by the bytes that
+        // can actually back them (a batch header is 12 bytes, a locator
+        // 8), so a corrupt count errors out instead of aborting on OOM.
         let n_batches = read_u32(buf, pos)? as usize;
-        let mut by_arity = Vec::with_capacity(n_batches);
+        let mut by_arity = Vec::with_capacity(n_batches.min((buf.len() - *pos) / 12));
         for _ in 0..n_batches {
             by_arity.push(TupleBatch::decode_from(buf, pos)?);
         }
         let n_locs = read_u32(buf, pos)? as usize;
-        let mut locs = Vec::with_capacity(n_locs);
+        let mut locs = Vec::with_capacity(n_locs.min((buf.len() - *pos) / 8));
         for _ in 0..n_locs {
             let arity = read_u32(buf, pos)?;
             let row = read_u32(buf, pos)?;
@@ -575,9 +578,10 @@ impl PairBatch {
 // Spilling batch partition
 // ---------------------------------------------------------------------------
 
-/// The columnar twin of [`crate::shuffle::SpillingPartition`]: one
-/// reducer partition's buffer, charging the shared budget *per appended
-/// batch* and spilling index-sorted columnar frames.
+/// One reducer partition's shuffle buffer, charging the shared
+/// [`MemoryBudget`] *per appended frame-sized chunk* and spilling
+/// index-sorted runs of columnar frames when its share of the budget is
+/// exceeded (or the global budget is exhausted).
 pub struct BatchPartition<'a> {
     partition: usize,
     share: u64,
@@ -633,9 +637,8 @@ impl<'a> BatchPartition<'a> {
         self.total_bytes
     }
 
-    /// Accept one pair (edge entry point; the executors append whole
-    /// batches via [`push_rows`](Self::push_rows) /
-    /// [`push_batch`](Self::push_batch) instead).
+    /// Accept one pair (edge entry point; the runtime appends routed
+    /// rows of whole map batches via [`push_rows`](Self::push_rows)).
     pub fn push_pair(&mut self, key: &Tuple, msg: &Message) -> Result<()> {
         let before = self.batch.estimated_bytes();
         self.batch.push_pair(key, msg);
@@ -651,23 +654,6 @@ impl<'a> BatchPartition<'a> {
             let before = self.batch.estimated_bytes();
             for &row in chunk {
                 self.batch.push_row(src, row as usize);
-            }
-            self.total_bytes += self.batch.estimated_bytes() - before;
-            self.settle()?;
-        }
-        Ok(())
-    }
-
-    /// Append every row of `src`; one budget interaction per frame-sized
-    /// chunk, as in [`push_rows`](Self::push_rows).
-    pub fn push_batch(&mut self, src: &PairBatch) -> Result<()> {
-        let mut row = 0;
-        while row < src.len() {
-            let end = (row + ROWS_PER_FRAME).min(src.len());
-            let before = self.batch.estimated_bytes();
-            while row < end {
-                self.batch.push_row(src, row);
-                row += 1;
             }
             self.total_bytes += self.batch.estimated_bytes() - before;
             self.settle()?;
@@ -762,11 +748,10 @@ impl<'a> BatchPartition<'a> {
     /// Finish the partition: collapse runs under the merge fan-in,
     /// index-sort the in-memory tail, and hand back the grouped stream
     /// plus this partition's spill statistics.
-    pub fn into_groups(mut self) -> Result<(BatchGroupStream<'a>, SpillStats)> {
-        // Intermediate passes, identical in shape to the pair plane:
-        // merge the *oldest* runs into one (ties drain earlier runs
-        // first) until runs + tail fit the fan-in; the merged run holds
-        // the oldest data and stays first.
+    pub fn into_groups(mut self) -> Result<(BatchGroups<'a>, SpillStats)> {
+        // Intermediate passes: merge the *oldest* runs into one (ties
+        // drain earlier runs first) until runs + tail fit the fan-in; the
+        // merged run holds the oldest data and stays first.
         while self.runs.len() + 1 > MERGE_FANIN {
             let take = MERGE_FANIN.min(self.runs.len());
             let _span = gumbo_obs::span_with("spill:merge", |f| {
@@ -815,7 +800,7 @@ impl<'a> BatchPartition<'a> {
         sources.push(BatchSource::from_memory(std::mem::take(&mut self.batch)));
         let stats = self.stats;
         Ok((
-            BatchGroupStream {
+            BatchGroups {
                 merge: BatchMerge { sources },
                 budget: self.budget,
                 charged: std::mem::take(&mut self.charged),
@@ -924,18 +909,18 @@ impl BatchMerge {
     }
 }
 
-/// The grouped stream the reducer consumes on the columnar plane — the
-/// same contract as [`crate::shuffle::GroupStream`]: keys ascend, values
-/// stay in global emission order, and exactly one owned key `Tuple` is
-/// materialized per group.
-pub struct BatchGroupStream<'a> {
+/// The grouped stream a reducer consumes: `(key, values)` with keys in
+/// ascending order and values in global emission order — the iteration
+/// order of an emission-order `BTreeMap` grouping — with exactly one
+/// owned key `Tuple` materialized per group.
+pub struct BatchGroups<'a> {
     merge: BatchMerge,
     budget: &'a MemoryBudget,
     charged: u64,
     _runs: Vec<Run>,
 }
 
-impl BatchGroupStream<'_> {
+impl BatchGroups<'_> {
     /// The next key group, or `None` when the partition is exhausted.
     pub fn next_group(&mut self) -> Result<Option<(Tuple, Vec<Message>)>> {
         let mut values = Vec::new();
@@ -967,30 +952,19 @@ impl BatchGroupStream<'_> {
     }
 }
 
-impl Drop for BatchGroupStream<'_> {
+impl Drop for BatchGroups<'_> {
     fn drop(&mut self) {
         self.budget.release(self.charged);
     }
 }
 
-/// Deterministic FNV-1a partition hash of a key view — byte-for-byte the
-/// same mixing as [`crate::hash::hash_tuple`], so a key lands on the same
-/// reducer whichever data plane carried it.
-pub fn hash_view(view: TupleView<'_>) -> u64 {
-    crate::hash::hash_view(view)
-}
-
-/// Reducer index for a key view under `reducers` reducers — agrees with
-/// [`crate::hash::partition`] on the materialized key.
-pub fn partition_view(view: TupleView<'_>, reducers: usize) -> usize {
-    crate::hash::partition_view(view, reducers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shuffle::{MemBudget, SpillingPartition};
+    use crate::hash::{hash_view, partition_view};
+    use crate::shuffle::MemBudget;
     use gumbo_common::Value;
+    use std::collections::BTreeMap;
 
     fn msg_shapes() -> Vec<Message> {
         vec![
@@ -1072,6 +1046,24 @@ mod tests {
     }
 
     #[test]
+    fn frame_codec_rejects_garbage() {
+        assert!(PairBatch::decode(&[]).is_err());
+        assert!(PairBatch::decode(&[9, 9, 9, 9, 9]).is_err());
+        // A structurally valid frame with an unknown message kind byte.
+        let mut batch = PairBatch::new();
+        batch.push_pair(&Tuple::from_ints(&[1]), &Message::Assert { cond: 0 });
+        let mut frame = Vec::new();
+        batch.encode_into(&mut frame).unwrap();
+        // The message store ends the frame: row count, kind bytes, then
+        // `small` (4), `aux` (4), the wide flag (1) and an empty payload
+        // tuple store (4 + 4) for this one row.
+        let kind_at = frame.len() - (4 + 4 + 1 + 4 + 4) - 1;
+        assert_eq!(frame[kind_at - 4..=kind_at], [1, 0, 0, 0, KIND_ASSERT]);
+        frame[kind_at] = 99;
+        assert!(PairBatch::decode(&frame).is_err());
+    }
+
+    #[test]
     fn frame_codec_rejects_truncation() {
         let mut batch = PairBatch::new();
         for (k, m) in mixed_pairs() {
@@ -1137,20 +1129,14 @@ mod tests {
         (groups, stats, budget.peak())
     }
 
-    /// The pair-plane reference grouping of the same sequence.
-    fn group_legacy(pairs: &[(Tuple, Message)]) -> Vec<(Tuple, Vec<Message>)> {
-        let budget = MemoryBudget::unlimited();
-        let spill = ShuffleSpill::new("legacy-test");
-        let mut part = SpillingPartition::new(0, &budget, &spill, 1);
+    /// The model grouping: a plain in-memory `BTreeMap` filled in
+    /// emission order (keys ascend, values keep emission order).
+    fn group_model(pairs: &[(Tuple, Message)]) -> Vec<(Tuple, Vec<Message>)> {
+        let mut groups: BTreeMap<Tuple, Vec<Message>> = BTreeMap::new();
         for (k, v) in pairs {
-            part.push(k.clone(), v.clone()).unwrap();
+            groups.entry(k.clone()).or_default().push(v.clone());
         }
-        let (mut stream, _) = part.into_groups().unwrap();
-        let mut groups = Vec::new();
-        while let Some(g) = stream.next_group().unwrap() {
-            groups.push(g);
-        }
-        groups
+        groups.into_iter().collect()
     }
 
     fn seq_pairs(keys: &[i64]) -> Vec<(Tuple, Message)> {
@@ -1172,10 +1158,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_grouping_matches_pair_grouping_across_budgets() {
+    fn spilled_grouping_matches_in_memory_grouping() {
+        // Interleaved keys with per-pair sequence markers: grouping must
+        // keep values in emission order however many runs are forced.
         let keys = [3i64, 1, 3, 2, 1, 3, 1, 2, 2, 3, 1, 1];
         let pairs = seq_pairs(&keys);
-        let reference = group_legacy(&pairs);
+        let reference = group_model(&pairs);
         let (unlimited, stats, _) = group_batched(MemBudget::UNLIMITED, &pairs);
         assert_eq!(unlimited, reference);
         assert_eq!(stats, SpillStats::default());
@@ -1190,7 +1178,7 @@ mod tests {
     #[test]
     fn mixed_type_pairs_group_identically() {
         let pairs = mixed_pairs();
-        let reference = group_legacy(&pairs);
+        let reference = group_model(&pairs);
         for spec in [
             MemBudget::UNLIMITED,
             MemBudget::bytes(1),
@@ -1204,9 +1192,11 @@ mod tests {
 
     #[test]
     fn many_runs_trigger_intermediate_merge_passes() {
+        // Budget of 1 byte: every pair becomes its own run, far beyond
+        // the merge fan-in.
         let keys: Vec<i64> = (0..100).map(|i| i % 5).collect();
         let pairs = seq_pairs(&keys);
-        let reference = group_legacy(&pairs);
+        let reference = group_model(&pairs);
         let (groups, stats, _) = group_batched(MemBudget::bytes(1), &pairs);
         assert_eq!(groups, reference);
         assert_eq!(
@@ -1220,16 +1210,25 @@ mod tests {
     }
 
     #[test]
-    fn compressed_columnar_runs_group_identically_and_shrink_on_disk() {
+    fn compressed_runs_group_identically_and_shrink_on_disk() {
+        // Repetitive integer pairs (8-byte LE words full of zero bytes):
+        // RLE must cut the on-disk size while grouping stays identical.
         let keys: Vec<i64> = (0..200).map(|i| i % 7).collect();
         let pairs = seq_pairs(&keys);
-        let reference = group_legacy(&pairs);
-        let (plain_groups, plain_stats, _) = group_batched(MemBudget::bytes(64), &pairs);
-        let (packed_groups, packed_stats, peak) =
-            group_batched(MemBudget::bytes(64).compressed(true), &pairs);
+        let reference = group_model(&pairs);
+        let plain_spec = MemBudget::bytes(64);
+        let packed_spec = MemBudget::bytes(64).compressed(true);
+        assert!(packed_spec.compress() && !plain_spec.compress());
+        let (plain_groups, plain_stats, _) = group_batched(plain_spec, &pairs);
+        let (packed_groups, packed_stats, peak) = group_batched(packed_spec, &pairs);
         assert_eq!(plain_groups, reference);
-        assert_eq!(packed_groups, reference);
+        assert_eq!(
+            packed_groups, reference,
+            "compression must not change grouping"
+        );
+        // Same raw spill volume either way; compression only shrinks disk.
         assert_eq!(packed_stats.spilled_bytes, plain_stats.spilled_bytes);
+        assert!(packed_stats.spilled_disk_bytes > 0);
         assert!(
             packed_stats.spilled_disk_bytes < plain_stats.spilled_disk_bytes,
             "rle {} should beat raw {}",
@@ -1245,7 +1244,7 @@ mod tests {
         // several frames and still merge correctly.
         let keys: Vec<i64> = (0..(ROWS_PER_FRAME as i64 * 3)).map(|i| i % 11).collect();
         let pairs = seq_pairs(&keys);
-        let reference = group_legacy(&pairs);
+        let reference = group_model(&pairs);
         // A share large enough to hold everything, then force one flush by
         // exhausting the budget exactly once via a tiny limit.
         let (groups, stats, _) = group_batched(MemBudget::bytes(40_000), &pairs);

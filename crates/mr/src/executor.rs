@@ -1,31 +1,28 @@
-//! The [`Executor`] trait: one job/program execution contract, two
-//! swappable runtimes.
+//! The [`Executor`] trait: the job/program execution contract.
 //!
 //! The paper's algorithms are defined against an abstract MapReduce
 //! substrate; this module pins down that substrate as a trait so the
 //! query layers (`gumbo-core`, `gumbo-baselines`, `gumbo-bench`) never
-//! depend on *how* a job runs:
+//! depend on *how* a job runs. The one runtime is
+//! [`crate::parallel::ParallelExecutor`]: map tasks, the partitioned
+//! shuffle and reduce tasks run on a worker pool of any size, while every
+//! stage is metered and priced by the paper's cost model (§3.3) and
+//! scheduled onto the simulated cluster (§5.1). Wrappers (timing probes,
+//! test doubles) implement the trait to stand in for it.
 //!
-//! * [`crate::simulated::SimulatedExecutor`] — the deterministic metered
-//!   simulator: single-threaded, every stage priced by the paper's cost
-//!   model (§3.3) and scheduled onto the simulated cluster (§5.1);
-//! * [`crate::parallel::ParallelExecutor`] — a real multi-threaded
-//!   runtime: map tasks, the partitioned shuffle and reduce tasks run on
-//!   a worker pool, while the *same* metering is collected, so the
-//!   paper's four metrics are identical across runtimes.
-//!
-//! Both runtimes share the split planning, per-task map execution,
-//! packing byte-accounting, reduce semantics and cost metering defined
-//! here — which is what makes the "byte-identical answers, identical
-//! stats" guarantee structural rather than aspirational (see
-//! `tests/executor_equivalence.rs` at the workspace root).
+//! The split planning, per-task map execution, packing byte-accounting,
+//! reduce semantics and cost metering live here, shared by every thread
+//! count — which is what makes the "byte-identical answers, identical
+//! stats at any thread count" guarantee structural (see
+//! `tests/executor_equivalence.rs` at the workspace root, which pins the
+//! metered statistics of every preset to a golden table).
 
 use std::collections::BTreeMap;
 
-use gumbo_common::{ByteSize, Fact, GumboError, Relation, RelationName, Result, Tuple};
+use gumbo_common::{ByteSize, Fact, GumboError, Relation, RelationName, Result};
 use gumbo_storage::{Dfs, RelationScan};
 
-use crate::batch_shuffle::{BatchGroupStream, PairBatch};
+use crate::batch_shuffle::{BatchGroups, PairBatch};
 use crate::cluster::Cluster;
 use crate::cost::{job_cost, CostConstants, CostModelKind};
 use crate::job::Job;
@@ -33,47 +30,10 @@ use crate::message::Message;
 use crate::metrics::{JobStats, ProgramStats, RoundStats};
 use crate::profile::{InputPartition, JobProfile};
 use crate::program::MrProgram;
-use crate::shuffle::{GroupStream, MemBudget, MemoryBudget, SpillStats};
+use crate::shuffle::{MemBudget, MemoryBudget, SpillStats};
 use crate::shuffle_filter::{
     FilterCollector, FilterStats, JobFilters, ProbeTally, ShuffleFilterMode,
 };
-
-/// Which in-memory representation carries pairs from the mappers through
-/// the shuffle to the reducers. Purely representational: both planes
-/// produce byte-identical answers and identical [`JobStats`]
-/// (`tests/data_plane_equivalence.rs` enforces this across runtimes,
-/// schedulers and memory budgets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DataPlane {
-    /// Owned `(Tuple, Message)` pairs — one heap allocation per tuple,
-    /// one budget interaction per pair ([`crate::shuffle`]). The
-    /// historical representation, kept as the reference plane.
-    Pairs,
-    /// Columnar batches ([`crate::batch_shuffle`]): contiguous `i64`
-    /// cells plus per-batch string dictionaries, index sorts, batched
-    /// budget charges and columnar spill frames.
-    #[default]
-    Columnar,
-}
-
-impl DataPlane {
-    /// Parse a CLI spelling: `pairs` or `columnar`.
-    pub fn parse(s: &str) -> Option<DataPlane> {
-        match s {
-            "pairs" => Some(DataPlane::Pairs),
-            "columnar" => Some(DataPlane::Columnar),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling of this plane.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DataPlane::Pairs => "pairs",
-            DataPlane::Columnar => "columnar",
-        }
-    }
-}
 
 /// Engine configuration, shared by every executor.
 #[derive(Debug, Clone, Copy)]
@@ -96,10 +56,6 @@ pub struct EngineConfig {
     /// buffers, spilling sorted runs to disk (see [`crate::shuffle`])
     /// instead of exceeding it. Answers are byte-identical either way.
     pub mem_budget: MemBudget,
-    /// Which representation carries the shuffle (see [`DataPlane`]).
-    /// Representation only — answers and statistics are identical on
-    /// either plane.
-    pub data_plane: DataPlane,
     /// Bloom-filtered semijoin shuffle ([`crate::shuffle_filter`]): when
     /// enabled, jobs carrying a [`crate::shuffle_filter::FilterSpec`]
     /// build per-side key filters before the map phase and suppress
@@ -117,7 +73,6 @@ impl Default for EngineConfig {
             constants: CostConstants::default(),
             model: CostModelKind::Gumbo,
             mem_budget: MemBudget::UNLIMITED,
-            data_plane: DataPlane::default(),
             shuffle_filter: ShuffleFilterMode::Off,
         }
     }
@@ -138,12 +93,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style: set the shuffle data plane.
-    pub fn with_data_plane(mut self, plane: DataPlane) -> Self {
-        self.data_plane = plane;
-        self
-    }
-
     /// Builder-style: set the Bloom-filtered shuffle mode.
     pub fn with_shuffle_filter(mut self, mode: ShuffleFilterMode) -> Self {
         self.shuffle_filter = mode;
@@ -157,8 +106,8 @@ impl EngineConfig {
 /// Implementations must be *observationally identical*: the same program
 /// over the same DFS yields the same answer relations and the same
 /// [`JobStats`], whatever the runtime's internal scheduling. The shared
-/// pipeline in this module provides that by construction; implementors
-/// only decide **where** each map/shuffle/reduce task runs.
+/// pipeline in this module provides that by construction; the runtime
+/// only decides **where** each map/shuffle/reduce task runs.
 ///
 /// Job execution is split into three phases so that concurrent schedulers
 /// (the DAG scheduler in `gumbo-sched`) can interleave jobs on a shared
@@ -185,15 +134,14 @@ pub trait Executor: Send + Sync {
     fn budget(&self) -> &MemoryBudget;
 
     /// Run the map, shuffle and reduce phases of a planned job. This is
-    /// the pure compute part — no DFS access — and the only phase the two
-    /// runtimes implement differently (serial vs worker pool).
+    /// the pure compute part — no DFS access.
     fn run_phases(&self, job: &Job, plan: MapPlan) -> Result<ComputedJob>;
 
     /// [`Executor::run_phases`] with an explicit per-job worker count
     /// (`0` = keep this executor's own sizing). The DAG scheduler uses
     /// this to size each job's pool from its cost estimate under a
-    /// total-core budget; runtimes without internal parallelism (the
-    /// simulator) ignore the hint. Observational identity is preserved
+    /// total-core budget; runtimes without internal parallelism ignore
+    /// the hint. Observational identity is preserved
     /// for any thread count, so per-job sizing can never change answers
     /// or metered statistics.
     fn run_phases_with(&self, job: &Job, plan: MapPlan, threads: usize) -> Result<ComputedJob> {
@@ -235,12 +183,9 @@ pub trait Executor: Send + Sync {
 /// Which runtime to execute on — a small `Copy` token the upper layers
 /// (engine options, CLI flags, bench configs) carry around and resolve
 /// into a boxed [`Executor`] on demand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
-    /// The deterministic metered simulator.
-    #[default]
-    Simulated,
-    /// The multi-threaded runtime with this many worker threads
+    /// The worker-pool runtime with this many worker threads
     /// (`0` = auto: min(available parallelism, cluster map slots)).
     Parallel {
         /// Worker thread count; `0` sizes the pool automatically.
@@ -248,22 +193,27 @@ pub enum ExecutorKind {
     },
 }
 
+impl Default for ExecutorKind {
+    /// One worker: every task runs on the calling thread, in task order.
+    fn default() -> Self {
+        ExecutorKind::Parallel { threads: 1 }
+    }
+}
+
 impl ExecutorKind {
     /// Build the runtime for a configuration.
     pub fn build(self, config: EngineConfig) -> Box<dyn Executor> {
-        match self {
-            ExecutorKind::Simulated => Box::new(crate::simulated::SimulatedExecutor::new(config)),
-            ExecutorKind::Parallel { threads } => Box::new(
-                crate::parallel::ParallelExecutor::with_threads(config, threads),
-            ),
-        }
+        let ExecutorKind::Parallel { threads } = self;
+        Box::new(crate::parallel::ParallelExecutor::with_threads(
+            config, threads,
+        ))
     }
 
-    /// Parse a CLI spelling: `sim` / `simulated`, `parallel`, or
-    /// `parallel:N` for an explicit thread count.
+    /// Parse a CLI spelling: `parallel`, `parallel:N` for an explicit
+    /// thread count, or `sim` / `simulated` as a spelling of `parallel:1`.
     pub fn parse(s: &str) -> Option<ExecutorKind> {
         match s {
-            "sim" | "simulated" => Some(ExecutorKind::Simulated),
+            "sim" | "simulated" => Some(ExecutorKind::Parallel { threads: 1 }),
             "parallel" => Some(ExecutorKind::Parallel { threads: 0 }),
             _ => {
                 let threads = s.strip_prefix("parallel:")?.parse().ok()?;
@@ -275,7 +225,6 @@ impl ExecutorKind {
     /// The CLI spelling of this kind.
     pub fn label(&self) -> String {
         match self {
-            ExecutorKind::Simulated => "sim".to_string(),
             ExecutorKind::Parallel { threads: 0 } => "parallel".to_string(),
             ExecutorKind::Parallel { threads } => format!("parallel:{threads}"),
         }
@@ -296,16 +245,6 @@ pub(crate) struct MapTaskSpec {
     pub split: std::ops::Range<usize>,
 }
 
-/// What one map task produced.
-pub(crate) struct MapTaskResult {
-    /// Emitted key-value pairs, in emission order.
-    pub emitted: Vec<(Tuple, Message)>,
-    /// Charged map-output bytes (packing-aware), unscaled.
-    pub output_bytes: u64,
-    /// Charged map-output records (packing-aware).
-    pub records_out: u64,
-}
-
 /// The planned map phase of one job: per-input partitions (with mapper
 /// counts fixed by the split-size rule) plus the concrete task list.
 ///
@@ -319,7 +258,7 @@ pub(crate) struct MapTaskResult {
 /// lock. All read metering already happened at [`plan_job`] time.
 pub struct MapPlan {
     /// Per-input metering skeletons; `map_output`/`records_out` are filled
-    /// in by [`MapPlan::apply`].
+    /// in by [`MapPlan::apply_counts`].
     pub(crate) partitions: Vec<InputPartition>,
     /// One open scan per input relation, in `job.inputs` order.
     pub(crate) input_scans: Vec<RelationScan>,
@@ -348,9 +287,7 @@ impl MapPlan {
     }
 
     /// Resolve the job's reduce-task count from the measured input and
-    /// intermediate sizes (call after [`MapPlan::apply`]). Shared so both
-    /// runtimes derive reducer counts from one definition — a divergence
-    /// here would silently break cross-runtime equivalence.
+    /// intermediate sizes (call after [`MapPlan::apply_counts`]).
     pub(crate) fn resolve_reducers(&self, job: &Job) -> usize {
         let total_input = self.partitions.iter().map(|p| p.input).sum();
         let total_map_output = self.partitions.iter().map(|p| p.map_output).sum();
@@ -478,72 +415,8 @@ fn record_probe_span(job: &Job, tally: &ProbeTally) {
     });
 }
 
-/// Run one map task: apply the mapper to every fact of the split and
-/// account bytes/records, charging key bytes once per distinct key within
-/// the task when packing is enabled (§5.1 (1)). With `filters` present,
-/// each emitted pair is probed first (the **probe** stage of the filtered
-/// shuffle) and suppressed pairs never reach the packing accounting — so
-/// map-output bytes/records are post-suppression on both data planes.
-pub(crate) fn run_map_task(
-    job: &Job,
-    facts: &[(u64, Fact)],
-    filters: Option<&JobFilters>,
-) -> MapTaskResult {
-    let mut span = gumbo_obs::span_with("map:task", |f| {
-        f.str("job", &job.name);
-        f.u64("facts", facts.len() as u64);
-    });
-    let mut emitted: Vec<(Tuple, Message)> = Vec::new();
-    let mut tally = ProbeTally::default();
-    match filters {
-        Some(f) => {
-            for (index, fact) in facts {
-                job.mapper.map(fact, *index, &mut |k, v| {
-                    if f.keep(&k, &v, &mut tally) {
-                        emitted.push((k, v));
-                    }
-                });
-            }
-        }
-        None => {
-            for (index, fact) in facts {
-                job.mapper
-                    .map(fact, *index, &mut |k, v| emitted.push((k, v)));
-            }
-        }
-    }
-    if let Some(f) = filters {
-        record_probe_span(job, &tally);
-        f.absorb(tally);
-    }
-    let mut output_bytes: u64 = 0;
-    let mut records_out: u64 = 0;
-    if job.config.packing {
-        let mut by_key: BTreeMap<&Tuple, u64> = BTreeMap::new();
-        for (k, v) in &emitted {
-            *by_key.entry(k).or_insert(0) += v.estimated_bytes();
-        }
-        for (k, value_bytes) in &by_key {
-            output_bytes += k.estimated_bytes() + value_bytes;
-        }
-        records_out += by_key.len() as u64;
-    } else {
-        for (k, v) in &emitted {
-            output_bytes += k.estimated_bytes() + v.estimated_bytes();
-        }
-        records_out += emitted.len() as u64;
-    }
-    span.record(|f| f.u64("records_out", records_out));
-    MapTaskResult {
-        emitted,
-        output_bytes,
-        records_out,
-    }
-}
-
-/// What one map task produced on the columnar plane: the same pairs as
-/// [`MapTaskResult`] in the same emission order, held as one
-/// [`PairBatch`] instead of a vector of owned pairs.
+/// What one map task produced: its emitted pairs in emission order, held
+/// as one columnar [`PairBatch`].
 pub(crate) struct BatchMapResult {
     /// Emitted pairs in emission order, columnar.
     pub batch: PairBatch,
@@ -553,13 +426,13 @@ pub(crate) struct BatchMapResult {
     pub records_out: u64,
 }
 
-/// The columnar twin of [`run_map_task`]: mapper output lands directly in
-/// a [`PairBatch`], and the packing byte-accounting (§5.1 (1)) runs as an
-/// index sort plus one linear scan instead of a `BTreeMap` build. Per-key
-/// byte sums are order-independent, so `output_bytes` / `records_out`
-/// equal the pair plane's exactly. Probing hashes the same owned key
-/// tuples as the pair plane ([`crate::hash::hash_tuple`]), so filter
-/// decisions are plane-identical by construction.
+/// Run one map task: apply the mapper to every fact of the split, landing
+/// its output directly in a [`PairBatch`], and account bytes/records,
+/// charging key bytes once per distinct key within the task when packing
+/// is enabled (§5.1 (1)) — an index sort plus one linear scan. With
+/// `filters` present, each emitted pair is probed first (the **probe**
+/// stage of the filtered shuffle) and suppressed pairs never reach the
+/// batch, so map-output bytes/records are post-suppression.
 pub(crate) fn run_map_task_batch(
     job: &Job,
     facts: &[(u64, Fact)],
@@ -626,18 +499,9 @@ pub(crate) fn run_map_task_batch(
 }
 
 impl MapPlan {
-    /// Fold per-task results (in task order) into the per-input partition
-    /// metering, applying the byte scale once per partition.
-    pub(crate) fn apply(&mut self, scale: u64, results: &[MapTaskResult]) {
-        let counts: Vec<(u64, u64)> = results
-            .iter()
-            .map(|r| (r.output_bytes, r.records_out))
-            .collect();
-        self.apply_counts(scale, &counts);
-    }
-
-    /// [`MapPlan::apply`] over bare `(output_bytes, records_out)` pairs —
-    /// the shape both data planes produce.
+    /// Fold per-task `(output_bytes, records_out)` counts (in task order)
+    /// into the per-input partition metering, applying the byte scale
+    /// once per partition.
     pub(crate) fn apply_counts(&mut self, scale: u64, counts: &[(u64, u64)]) {
         debug_assert_eq!(counts.len(), self.tasks.len());
         let mut raw_bytes = vec![0u64; self.partitions.len()];
@@ -653,28 +517,6 @@ impl MapPlan {
     }
 }
 
-/// One reducer partition's grouped stream, from either data plane. Both
-/// variants observe the same contract — keys ascend in `Tuple` order,
-/// values stay in global emission order — so [`run_reduce_stream`] is
-/// plane-agnostic.
-pub(crate) enum Groups<'a> {
-    /// The pair plane's merge ([`crate::shuffle`]).
-    Pairs(GroupStream<'a>),
-    /// The columnar plane's merge ([`crate::batch_shuffle`]).
-    Columnar(BatchGroupStream<'a>),
-}
-
-impl Groups<'_> {
-    /// The next key group, its values appended into a caller-owned
-    /// scratch vector (cleared first).
-    fn next_group_into(&mut self, values: &mut Vec<Message>) -> Result<Option<Tuple>> {
-        match self {
-            Groups::Pairs(stream) => stream.next_group_into(values),
-            Groups::Columnar(stream) => stream.next_group_into(values),
-        }
-    }
-}
-
 /// Reduce one shuffle partition by streaming its key groups (keys in
 /// canonical order, values in emission order — the order the bounded and
 /// unlimited shuffles both guarantee) and collect the reducer's output
@@ -683,7 +525,7 @@ impl Groups<'_> {
 /// is reused across groups.
 pub(crate) fn run_reduce_stream(
     job: &Job,
-    mut groups: Groups<'_>,
+    mut groups: BatchGroups<'_>,
 ) -> Result<BTreeMap<RelationName, Relation>> {
     let mut span = gumbo_obs::span_with("reduce:task", |f| f.str("job", &job.name));
     let mut outputs: BTreeMap<RelationName, Relation> = job
@@ -889,10 +731,18 @@ mod tests {
 
     #[test]
     fn executor_kind_parses_cli_spellings() {
-        assert_eq!(ExecutorKind::parse("sim"), Some(ExecutorKind::Simulated));
+        // `sim` survives as a spelling of the one-worker runtime.
+        assert_eq!(
+            ExecutorKind::parse("sim"),
+            Some(ExecutorKind::Parallel { threads: 1 })
+        );
         assert_eq!(
             ExecutorKind::parse("simulated"),
-            Some(ExecutorKind::Simulated)
+            Some(ExecutorKind::Parallel { threads: 1 })
+        );
+        assert_eq!(
+            ExecutorKind::default(),
+            ExecutorKind::Parallel { threads: 1 }
         );
         assert_eq!(
             ExecutorKind::parse("parallel"),
@@ -909,7 +759,7 @@ mod tests {
     #[test]
     fn executor_kind_labels_round_trip() {
         for kind in [
-            ExecutorKind::Simulated,
+            ExecutorKind::default(),
             ExecutorKind::Parallel { threads: 0 },
             ExecutorKind::Parallel { threads: 4 },
         ] {
@@ -920,9 +770,9 @@ mod tests {
     #[test]
     fn built_executors_report_config_and_name() {
         let config = EngineConfig::unscaled();
-        let sim = ExecutorKind::Simulated.build(config);
-        assert_eq!(sim.name(), "simulated");
-        assert_eq!(sim.config().scale, 1);
+        let one = ExecutorKind::default().build(config);
+        assert_eq!(one.name(), "parallel");
+        assert_eq!(one.config().scale, 1);
         let par = ExecutorKind::Parallel { threads: 2 }.build(config);
         assert_eq!(par.name(), "parallel");
         assert_eq!(par.config().scale, 1);

@@ -46,8 +46,8 @@ pub fn hash_tuple(tuple: &Tuple) -> u64 {
 
 /// Deterministic hash of a columnar key view — byte-for-byte the same
 /// mixing as [`hash_tuple`], so `hash_view(batch.view(r))` always equals
-/// `hash_tuple(&batch.tuple(r))` and both data planes route every key to
-/// the same reducer.
+/// `hash_tuple(&batch.tuple(r))` and a key routes to the same reducer
+/// whether it is hashed as a view or as an owned tuple.
 pub fn hash_view(view: TupleView<'_>) -> u64 {
     let mut h = FNV_OFFSET;
     let mut mix = |bytes: &[u8]| {

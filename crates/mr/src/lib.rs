@@ -1,8 +1,9 @@
 //! # gumbo-mr
 //!
 //! A deterministic MapReduce substrate: the execution environment the paper
-//! assumes (Hadoop MR, §3.2) rebuilt as an in-memory engine plus a cluster
-//! simulator, together with the paper's I/O **cost model** (§3.3).
+//! assumes (Hadoop MR, §3.2) rebuilt as an in-memory engine on a worker
+//! pool plus a cluster simulator, together with the paper's I/O **cost
+//! model** (§3.3).
 //!
 //! ## What "executing" means here
 //!
@@ -18,35 +19,31 @@
 //! * the cluster simulator (`cluster`), yielding **net time** (wall-clock:
 //!   the makespan of scheduling task waves onto `nodes × slots`).
 //!
-//! ## The two runtimes
+//! ## The runtime
 //!
-//! Execution is abstracted behind the [`Executor`] trait
-//! ([`executor`]), with two interchangeable implementations:
-//!
-//! * [`SimulatedExecutor`] (alias [`Engine`], the default) — the
-//!   single-threaded deterministic simulator described above;
-//! * [`ParallelExecutor`] — a real multi-threaded runtime that fans map
-//!   tasks, the partitioned shuffle and reduce tasks out over a fixed
-//!   worker pool while collecting the *same* metering.
-//!
-//! Both produce byte-identical answer relations and identical
-//! [`JobStats`] (the shared pipeline in [`executor`] makes this
-//! structural); pick one with [`ExecutorKind`]. Use the simulator for
-//! reproducible §5 experiments and the parallel runtime when you want the
-//! answer as fast as the hardware allows.
+//! Execution is abstracted behind the [`Executor`] trait ([`executor`]).
+//! Its one implementation, [`ParallelExecutor`], fans map tasks, the
+//! partitioned shuffle and reduce tasks out over a fixed worker pool; with
+//! one worker (the default [`ExecutorKind`]) every task runs on the
+//! calling thread. Answer relations and [`JobStats`] are byte-identical
+//! at every thread count (the shared pipeline in [`executor`] makes this
+//! structural), so the §5 experiments are reproducible whatever the
+//! pool size.
 //!
 //! A configurable *scale factor* maps laptop-sized relations onto the
 //! paper's 100M-tuple regime: all byte quantities are multiplied by it
 //! before entering the cost model, so merge-pass counts and reducer
 //! allocations match the paper's operating point.
 //!
-//! ## Bounded-memory shuffle
+//! ## Bounded-memory, columnar shuffle
 //!
-//! Both runtimes shuffle through the budget-charged buffers of
-//! [`shuffle`]: with [`EngineConfig::mem_budget`] set, per-reducer
-//! buffers spill sorted runs to job-scoped disk directories instead of
-//! growing past the limit, and the reduce phase streams a merge of the
-//! runs plus the in-memory tail. Answers and metered statistics are
+//! Map output travels as columnar [`PairBatch`]es (contiguous `i64` cells
+//! plus per-batch string dictionaries) into the budget-charged
+//! [`BatchPartition`] buffers of [`batch_shuffle`]: with
+//! [`EngineConfig::mem_budget`] set ([`shuffle`]), per-reducer buffers
+//! spill sorted runs of columnar frames to job-scoped disk directories
+//! instead of growing past the limit, and the reduce phase streams a
+//! merge of the runs plus the in-memory tail. Answers and metered statistics are
 //! byte-identical with spilling on or off; [`JobStats`] additionally
 //! reports `spilled_bytes` / `spill_files` / `spill_merge_passes`.
 //!
@@ -77,9 +74,8 @@ pub mod profile;
 pub mod program;
 pub mod shuffle;
 pub mod shuffle_filter;
-pub mod simulated;
 
-pub use batch_shuffle::{BatchGroupStream, BatchPartition, PairBatch, TupleStore};
+pub use batch_shuffle::{BatchGroups, BatchPartition, PairBatch, TupleStore};
 pub use cluster::Cluster;
 pub use cost::{job_cost, CostConstants, CostModelKind};
 pub use dag::{DagNode, JobDag};
@@ -87,7 +83,7 @@ pub use estimate::{
     critical_path_lengths, list_schedule_makespan, list_schedule_makespan_by, JobEstimate,
 };
 pub use executor::{
-    commit_job, plan_job, ComputedJob, DataPlane, EngineConfig, Executor, ExecutorKind, MapPlan,
+    commit_job, plan_job, ComputedJob, EngineConfig, Executor, ExecutorKind, MapPlan,
 };
 pub use job::{Job, JobConfig, Mapper, Reducer, ReducerPolicy};
 pub use message::{Message, Payload};
@@ -95,14 +91,11 @@ pub use metrics::{JobStats, ProgramStats};
 pub use parallel::ParallelExecutor;
 pub use profile::{InputPartition, JobProfile};
 pub use program::MrProgram;
-pub use shuffle::{
-    GroupStream, MemBudget, MemoryBudget, ShuffleSpill, SpillStats, SpillingPartition,
-};
+pub use shuffle::{MemBudget, MemoryBudget, ShuffleSpill, SpillStats};
 pub use shuffle_filter::{
     filter_bytes_for, predicted_fp_rate_for, FilterSpec, FilterStats, ShuffleFilterMode,
     SplitBlockBloom,
 };
-pub use simulated::{Engine, SimulatedExecutor};
 
 #[cfg(test)]
 mod proptests;

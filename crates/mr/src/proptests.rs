@@ -19,7 +19,7 @@ use crate::job::Job;
 use crate::message::{Message, Payload};
 use crate::profile::{InputPartition, JobProfile};
 use crate::program::MrProgram;
-use crate::shuffle::{MemBudget, MemoryBudget, ShuffleSpill, SpillingPartition};
+use crate::shuffle::{MemBudget, MemoryBudget, ShuffleSpill};
 use crate::shuffle_filter::{FilterCollector, FilterSpec, ProbeTally, SplitBlockBloom};
 
 /// A no-op job touching relations `Rk` for the given name codes.
@@ -172,11 +172,12 @@ proptest! {
             expected.entry(k.clone()).or_default().push(v.clone());
         }
 
+        // Pair-at-a-time appends: one budget settlement per pair.
         let tracker = MemoryBudget::new(MemBudget::bytes(budget));
         let spill = ShuffleSpill::new("proptest");
-        let mut part = SpillingPartition::new(0, &tracker, &spill, 1);
-        for (k, v) in pairs {
-            part.push(k, v).unwrap();
+        let mut part = BatchPartition::new(0, &tracker, &spill, 1);
+        for (k, v) in &pairs {
+            part.push_pair(k, v).unwrap();
         }
         let (mut stream, stats) = part.into_groups().unwrap();
         let mut got: Vec<(Tuple, Vec<Message>)> = Vec::new();
@@ -193,14 +194,14 @@ proptest! {
         prop_assert_eq!(tracker.used(), 0, "all charges released");
     }
 
-    /// The columnar plane reproduces the pair plane's reducer groupings
-    /// byte for byte: for any pair sequence (mixed message shapes, string
-    /// keys and payloads included) and any budget — however many columnar
+    /// Routed-row appends reproduce the in-memory `BTreeMap` grouping
+    /// exactly: for any pair sequence (mixed message shapes, string keys
+    /// and payloads included) and any budget — however many columnar
     /// spill frames and intermediate merge passes it forces — the batch
-    /// partition's grouped stream equals the pair partition's, with
-    /// identical total byte accounting.
+    /// partition's grouped stream equals the model's, and its total byte
+    /// accounting is the owned pairs' `estimated_bytes`.
     #[test]
-    fn columnar_spill_merge_matches_pair_plane_grouping(
+    fn columnar_spill_merge_matches_btreemap_grouping(
         keys in proptest::collection::vec(0i64..12, 0usize..120),
         budget in 0u64..400,
     ) {
@@ -237,22 +238,18 @@ proptest! {
             })
             .collect();
 
-        // Pair plane under the same budget: the reference grouping.
-        let pair_tracker = MemoryBudget::new(MemBudget::bytes(budget));
-        let pair_spill = ShuffleSpill::new("proptest-pairs");
-        let mut pair_part = SpillingPartition::new(0, &pair_tracker, &pair_spill, 1);
-        for (k, v) in pairs.clone() {
-            pair_part.push(k, v).unwrap();
+        // The model: an in-memory grouping in emission order.
+        let mut model: BTreeMap<Tuple, Vec<Message>> = BTreeMap::new();
+        for (k, v) in &pairs {
+            model.entry(k.clone()).or_default().push(v.clone());
         }
-        let pair_bytes = pair_part.total_bytes();
-        let (mut pair_stream, _) = pair_part.into_groups().unwrap();
-        let mut expected: Vec<(Tuple, Vec<Message>)> = Vec::new();
-        while let Some(group) = pair_stream.next_group().unwrap() {
-            expected.push(group);
-        }
-        drop(pair_stream);
+        let expected: Vec<(Tuple, Vec<Message>)> = model.into_iter().collect();
+        let pair_bytes: u64 = pairs
+            .iter()
+            .map(|(k, v)| k.estimated_bytes() + v.estimated_bytes())
+            .sum();
 
-        // Columnar plane: one batch through a budget-charged partition.
+        // One batch through a budget-charged partition.
         let tracker = MemoryBudget::new(MemBudget::bytes(budget));
         let spill = ShuffleSpill::new("proptest-columnar");
         let mut part = BatchPartition::new(0, &tracker, &spill, 1);
@@ -260,7 +257,8 @@ proptest! {
         for (k, v) in &pairs {
             batch.push_pair(k, v);
         }
-        part.push_batch(&batch).unwrap();
+        let rows: Vec<u32> = (0..batch.len() as u32).collect();
+        part.push_rows(&batch, &rows).unwrap();
         prop_assert_eq!(part.total_bytes(), pair_bytes, "total byte accounting");
         let (mut stream, stats) = part.into_groups().unwrap();
         let mut got: Vec<(Tuple, Vec<Message>)> = Vec::new();

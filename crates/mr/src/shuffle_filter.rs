@@ -265,8 +265,8 @@ pub fn predicted_fp_rate_for(keys: u64, bits_per_key: u32) -> f64 {
 
 /// Deterministic observations of one filtered job, folded into
 /// [`crate::JobStats`] at commit time. All counts are sums over the
-/// job's emitted messages, so they are identical across runtimes, data
-/// planes and thread counts.
+/// job's emitted messages, so they are identical across thread counts,
+/// schedulers and memory budgets.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     /// Unscaled bytes of the broadcast filter artifacts (both

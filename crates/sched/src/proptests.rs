@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use gumbo_common::{ByteSize, Fact, Relation, RelationName, Result as GumboResult, Tuple};
 use gumbo_mr::{
     list_schedule_makespan_by, CostConstants, CostModelKind, EngineConfig, InputPartition, Job,
-    JobConfig, JobEstimate, JobProfile, Mapper, Message, MrProgram, Reducer, SimulatedExecutor,
+    JobConfig, JobEstimate, JobProfile, Mapper, Message, MrProgram, ParallelExecutor, Reducer,
 };
 use gumbo_storage::SimDfs;
 
@@ -132,7 +132,7 @@ fn run_policy(
     spec: &[(u8, u8, u8)],
     policy: PlacementPolicy,
 ) -> GumboResult<(SimDfs, gumbo_mr::ProgramStats)> {
-    let executor = SimulatedExecutor::new(EngineConfig::unscaled());
+    let executor = ParallelExecutor::with_threads(EngineConfig::unscaled(), 1);
     let scheduler = DagScheduler::new(SchedulerConfig {
         max_concurrent_jobs: 2,
         placement: policy,

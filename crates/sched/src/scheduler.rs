@@ -24,9 +24,8 @@ pub struct SchedulerConfig {
     /// How many jobs may run concurrently (the worker-pool size).
     /// `0` = auto: the machine's available parallelism.
     pub max_concurrent_jobs: usize,
-    /// Worker threads *inside* each job when the underlying runtime is
-    /// the parallel executor (`0` = keep the executor's own sizing). The
-    /// simulated runtime computes each job on one thread regardless.
+    /// Worker threads *inside* each job (`0` = keep the executor's own
+    /// sizing).
     ///
     /// The scheduler runs jobs on whatever executor it is handed; this
     /// knob takes effect where the executor is *built* — resolve it with
@@ -52,8 +51,6 @@ pub struct SchedulerConfig {
     /// its estimate's suggested parallelism clamped to an equal share of
     /// this budget (`core_budget / worker-pool size`, at least 1) — so a
     /// full pool of jobs collectively stays within the core budget.
-    /// Only the parallel runtime has per-job pools to size; the
-    /// simulator ignores the hint.
     pub core_budget: usize,
 }
 
@@ -94,13 +91,13 @@ impl SchedulerConfig {
             .unwrap_or(1)
     }
 
-    /// The executor kind jobs should run on under this scheduler: a
-    /// parallel runtime is resized to [`SchedulerConfig::threads_per_job`]
-    /// threads (when set), anything else passes through.
+    /// The executor kind jobs should run on under this scheduler: the
+    /// runtime resized to [`SchedulerConfig::threads_per_job`] threads
+    /// (when set), otherwise `base` unchanged.
     pub fn executor_kind(&self, base: ExecutorKind) -> ExecutorKind {
-        match (base, self.threads_per_job) {
-            (ExecutorKind::Parallel { .. }, t) if t > 0 => ExecutorKind::Parallel { threads: t },
-            (kind, _) => kind,
+        match self.threads_per_job {
+            0 => base,
+            threads => ExecutorKind::Parallel { threads },
         }
     }
 
@@ -588,7 +585,7 @@ impl DagScheduler {
 mod tests {
     use super::*;
     use gumbo_common::{Fact, Relation, RelationName, Tuple};
-    use gumbo_mr::{EngineConfig, Job, JobConfig, Mapper, Message, Reducer, SimulatedExecutor};
+    use gumbo_mr::{EngineConfig, Job, JobConfig, Mapper, Message, ParallelExecutor, Reducer};
     use gumbo_storage::SimDfs;
 
     /// Copies every input tuple to the job's single output relation.
@@ -630,8 +627,8 @@ mod tests {
         dfs
     }
 
-    fn executor() -> SimulatedExecutor {
-        SimulatedExecutor::new(EngineConfig::unscaled())
+    fn executor() -> ParallelExecutor {
+        ParallelExecutor::with_threads(EngineConfig::unscaled(), 1)
     }
 
     /// R → X → Z and R → Y → Z: the diamond must end with Z built from
@@ -762,10 +759,13 @@ mod tests {
         let dfs_barrier = dfs_with(&name_refs);
         let barrier = unlimited.execute(&dfs_barrier, &program()).unwrap();
         assert_eq!(barrier.spilled_bytes(), 0, "unlimited run never spills");
-        let budgeted = SimulatedExecutor::new(gumbo_mr::EngineConfig {
-            mem_budget: MemBudget::bytes(512),
-            ..gumbo_mr::EngineConfig::unscaled()
-        });
+        let budgeted = ParallelExecutor::with_threads(
+            gumbo_mr::EngineConfig {
+                mem_budget: MemBudget::bytes(512),
+                ..gumbo_mr::EngineConfig::unscaled()
+            },
+            1,
+        );
         let sched = DagScheduler::new(SchedulerConfig {
             max_concurrent_jobs: 4,
             ..SchedulerConfig::default()
@@ -974,8 +974,8 @@ mod tests {
         };
         assert!(auto.effective_workers() >= 1);
         assert_eq!(
-            SchedulerConfig::default().executor_kind(ExecutorKind::Simulated),
-            ExecutorKind::Simulated
+            SchedulerConfig::default().executor_kind(ExecutorKind::Parallel { threads: 4 }),
+            ExecutorKind::Parallel { threads: 1 }
         );
         assert_eq!(
             SchedulerConfig {

@@ -160,7 +160,7 @@ impl Shared {
 }
 
 /// Start serving on `listener`. The engine's options decide the
-/// evaluation path (scheduler config, data plane, budget) exactly as
+/// evaluation path (scheduler config, worker count, budget) exactly as
 /// they do for one-shot evaluation; `dfs` holds the base relations and
 /// receives every committed output.
 pub fn serve(

@@ -291,9 +291,9 @@ impl RunReader {
         })
     }
 
-    /// Read the next pair-encoded frame, or `None` at a clean end of
-    /// file. A columnar frame here means the file was written by the
-    /// other data plane — an error, never a misparse.
+    /// Read the next row-encoded frame, or `None` at a clean end of
+    /// file. A columnar frame here means the file is a columnar spill
+    /// run — an error, never a misparse.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
         match self.next_tagged()? {
             None => Ok(None),

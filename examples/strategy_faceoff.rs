@@ -52,8 +52,11 @@ fn main() -> Result<()> {
 
     // SEQ: a chain of four semi-join jobs, pruning as it goes.
     let dfs = SimDfs::from_database(&db);
-    let stats =
-        SeqStrategy::default().evaluate(&Engine::new(config), &dfs, workload.query.queries())?;
+    let stats = SeqStrategy::default().evaluate(
+        &ParallelExecutor::with_threads(config, 1),
+        &dfs,
+        workload.query.queries(),
+    )?;
     report("SEQ", stats, &dfs)?;
 
     // PAR: four ungrouped MSJ jobs + EVAL.

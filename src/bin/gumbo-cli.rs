@@ -6,8 +6,8 @@
 //! ```text
 //! gumbo-cli serve    [--listen ADDR] (--preset NAME [--tuples N] | --data DIR)
 //!                    [--dfs sim|file:PATH] [--dfs-cache BYTES]
-//!                    [--executor sim|parallel|parallel:N] [--max-jobs N]
-//!                    [--mem-budget BYTES|unlimited] [--data-plane pairs|columnar]
+//!                    [--executor parallel|parallel:N] [--max-jobs N]
+//!                    [--mem-budget BYTES|unlimited]
 //!                    [--queue-cap N] [--inflight N] [--default-weight W]
 //!                    [--trace PATH] [--trace-format chrome|jsonl] [--metrics-dump]
 //! gumbo-cli query    [--addr ADDR] [--tenant NAME] [--weight W]
@@ -32,11 +32,10 @@
 //! ```text
 //! gumbo-cli --data DIR --query FILE | --preset NAME [--tuples N]
 //!           [--strategy greedy|par|sequnit|parunit|one-round|dynamic]
-//!           [--executor sim|parallel|parallel:N]
+//!           [--executor parallel|parallel:N]
 //!           [--scheduler rounds|dag] [--max-jobs N]
 //!           [--placement fifo|sjf|cp] [--cores N]
 //!           [--mem-budget BYTES|unlimited] [--spill-compress]
-//!           [--data-plane pairs|columnar]
 //!           [--shuffle-filter off|bloom[:BITS]|auto[:BITS]]
 //!           [--dfs sim|file:PATH] [--dfs-cache BYTES]
 //!           [--trace PATH] [--trace-format chrome|jsonl]
@@ -50,6 +49,12 @@
 //! (`a1`–`a5`, `b1`, `b2`, `c1`–`c4`) without any files. Every output
 //! relation (final and intermediate `Z`s) is written back to `--out` (if
 //! given) as TSV, and the paper's four metrics are printed.
+//!
+//! `--executor` sizes the runtime's worker pool: `parallel:N` runs each
+//! job's map, shuffle and reduce tasks on N workers, `parallel` sizes the
+//! pool from the machine. The default is one worker (`parallel:1`; the
+//! older spelling `sim` still means the same). Answers and statistics are
+//! byte-identical at every pool size.
 //!
 //! `--scheduler dag` executes the planned jobs on the dependency-driven
 //! DAG scheduler (at most `--max-jobs` concurrent jobs) instead of the
@@ -67,10 +72,6 @@
 //! `shuffle memory:` summary line (spilled bytes — raw and on-disk —
 //! run files, merge passes, peak) is printed after the run.
 //! `--spill-compress` RLE-block-compresses the run files on disk.
-//! `--data-plane` selects the shuffle representation: `columnar` (the
-//! default — batch arenas, dictionary-encoded strings, columnar spill
-//! frames) or `pairs` (the historical owned-pair plane). Answers and
-//! statistics are byte-identical either way.
 //! `--shuffle-filter` engages the Bloom-filtered semijoin shuffle:
 //! `bloom[:BITS]` filters every MSJ job (BITS bits per key, default 10),
 //! `auto[:BITS]` filters only jobs the planner predicts save more bytes
@@ -130,7 +131,6 @@ struct Args {
     cores: usize,
     mem_budget: gumbo::mr::MemBudget,
     spill_compress: bool,
-    data_plane: gumbo::mr::DataPlane,
     shuffle_filter: gumbo::mr::ShuffleFilterMode,
     dfs: DfsSpec,
     dfs_cache: Option<u64>,
@@ -147,11 +147,10 @@ struct Args {
 const USAGE: &str = "usage: gumbo-cli [serve|query|shutdown] ... (see --help per subcommand) | \
                      gumbo-cli --data DIR --query FILE | --preset NAME [--tuples N] \
                      [--strategy greedy|par|sequnit|parunit|one-round|dynamic] \
-                     [--executor sim|parallel|parallel:N] \
+                     [--executor parallel|parallel:N] \
                      [--scheduler rounds|dag] [--max-jobs N] \
                      [--placement fifo|sjf|cp] [--cores N] \
                      [--mem-budget BYTES|unlimited] [--spill-compress] \
-                     [--data-plane pairs|columnar] \
                      [--shuffle-filter off|bloom[:BITS]|auto[:BITS]] \
                      [--dfs sim|file:PATH] [--dfs-cache BYTES] \
                      [--trace PATH] [--trace-format chrome|jsonl] \
@@ -165,14 +164,13 @@ fn parse_args() -> Result<Args, String> {
         preset: None,
         tuples: None,
         strategy: "greedy".into(),
-        executor: gumbo::mr::ExecutorKind::Simulated,
+        executor: gumbo::mr::ExecutorKind::default(),
         scheduler: "rounds".into(),
         max_jobs: 4,
         placement: gumbo::sched::PlacementPolicy::Fifo,
         cores: 0,
         mem_budget: gumbo::mr::MemBudget::UNLIMITED,
         spill_compress: false,
-        data_plane: gumbo::mr::DataPlane::default(),
         shuffle_filter: gumbo::mr::ShuffleFilterMode::Off,
         dfs: DfsSpec::Sim,
         dfs_cache: None,
@@ -234,11 +232,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--cores: {e}"))?
             }
             "--spill-compress" => args.spill_compress = true,
-            "--data-plane" => {
-                let spec = need(&mut i, &argv)?;
-                args.data_plane = gumbo::mr::DataPlane::parse(&spec)
-                    .ok_or_else(|| format!("--data-plane: pairs|columnar, got {spec}"))?;
-            }
             "--shuffle-filter" => {
                 let spec = need(&mut i, &argv)?;
                 args.shuffle_filter =
@@ -496,7 +489,6 @@ fn run(args: Args) -> Result<(), String> {
         EngineConfig {
             scale: args.scale,
             cluster: Cluster::with_nodes(args.nodes),
-            data_plane: args.data_plane,
             ..EngineConfig::default()
         },
         args.executor,
@@ -715,8 +707,8 @@ fn load_service_db(
 const SERVE_USAGE: &str = "usage: gumbo-cli serve [--listen ADDR] \
                            (--preset NAME [--tuples N] | --data DIR) \
                            [--dfs sim|file:PATH] [--dfs-cache BYTES] \
-                           [--executor sim|parallel|parallel:N] [--max-jobs N] \
-                           [--mem-budget BYTES|unlimited] [--data-plane pairs|columnar] \
+                           [--executor parallel|parallel:N] [--max-jobs N] \
+                           [--mem-budget BYTES|unlimited] \
                            [--queue-cap N] [--inflight N] [--default-weight W] \
                            [--trace PATH] [--trace-format chrome|jsonl] [--metrics-dump]";
 
@@ -727,10 +719,9 @@ fn run_serve(argv: &[String]) -> Result<(), String> {
     let mut data: Option<PathBuf> = None;
     let mut dfs_spec = DfsSpec::Sim;
     let mut dfs_cache: Option<u64> = None;
-    let mut executor = gumbo::mr::ExecutorKind::Simulated;
+    let mut executor = gumbo::mr::ExecutorKind::default();
     let mut max_jobs = 4usize;
     let mut mem_budget = gumbo::mr::MemBudget::UNLIMITED;
-    let mut data_plane = gumbo::mr::DataPlane::default();
     let mut queue_cap = 64usize;
     let mut inflight = 2usize;
     let mut default_weight = 1.0f64;
@@ -786,11 +777,6 @@ fn run_serve(argv: &[String]) -> Result<(), String> {
                     format!("--mem-budget: BYTES (k/m/g suffix ok) or unlimited, got {spec}")
                 })?;
             }
-            "--data-plane" => {
-                let spec = need(&mut i, argv)?;
-                data_plane = gumbo::mr::DataPlane::parse(&spec)
-                    .ok_or_else(|| format!("--data-plane: pairs|columnar, got {spec}"))?;
-            }
             "--queue-cap" => {
                 queue_cap = need(&mut i, argv)?
                     .parse()
@@ -844,14 +830,7 @@ fn run_serve(argv: &[String]) -> Result<(), String> {
         }),
         ..EvalOptions::default()
     };
-    let engine = GumboEngine::with_executor(
-        EngineConfig {
-            data_plane,
-            ..EngineConfig::default()
-        },
-        executor,
-        options,
-    );
+    let engine = GumboEngine::with_executor(EngineConfig::default(), executor, options);
     gumbo::service::install_signal_drain();
     if let Some(path) = &trace {
         install_trace_sink(path, trace_format)?;

@@ -30,7 +30,7 @@
 //!     "Answer := SELECT (x, y) FROM R(x, y) WHERE S(x) AND NOT T(y);",
 //! ).unwrap();
 //!
-//! // Plan + execute on the simulated MapReduce cluster. Swap `SimDfs`
+//! // Plan + execute on the metered MapReduce runtime. Swap `SimDfs`
 //! // for `FileDfs::create(path, cache_bytes)` to persist every relation
 //! // to disk — answers and metered statistics are identical.
 //! let engine = GumboEngine::with_defaults();
@@ -49,21 +49,20 @@
 //! | [`gumbo_sgf`] | SGF/BSGF ASTs, parser, dependency graphs, naive evaluator |
 //! | [`gumbo_storage`] | `Dfs` trait with simulated and durable file-segment backends, byte accounting, LRU block cache, sampling |
 //! | [`gumbo_obs`] | zero-dependency tracing and metrics: spans, events, counters, ring/JSONL/Chrome-trace sinks |
-//! | [`gumbo_mr`] | `Executor` trait with simulated + multi-threaded runtimes, job DAGs, cluster model, cost models |
+//! | [`gumbo_mr`] | `Executor` trait and its worker-pool runtime, columnar bounded-memory shuffle, job DAGs, cluster model, cost models |
 //! | [`gumbo_sched`] | dependency-driven DAG scheduler, multi-tenant submissions |
 //! | [`gumbo_core`] | MSJ, EVAL, 1-ROUND fusion, plans, greedy + optimal planners |
 //! | [`gumbo_service`] | resident multi-tenant query service: TCP protocol, fair-share admission, streaming client |
 //! | [`gumbo_baselines`] | SEQ chains, PAR presets, Pig/Hive simulators |
 //! | [`gumbo_datagen`] | the paper's workloads (A1–A5, B1/B2, C1–C4, sweeps) |
 //!
-//! ## Two runtimes
+//! ## The runtime
 //!
-//! Execution is routed through the [`mr::Executor`] trait. The default
-//! runtime is the deterministic metered **simulator** ([`mr::Engine`]);
-//! the **multi-threaded** runtime ([`mr::ParallelExecutor`]) runs map,
-//! shuffle and reduce tasks on a real worker pool and produces
-//! byte-identical answers and identical metered statistics. Select one
-//! with [`mr::ExecutorKind`]:
+//! Execution is routed through the [`mr::Executor`] trait onto
+//! [`mr::ParallelExecutor`], which runs map, shuffle and reduce tasks on
+//! a worker pool. The default is one worker (every task on the calling
+//! thread); any pool size produces byte-identical answers and identical
+//! metered statistics. Pick the size with [`mr::ExecutorKind`]:
 //!
 //! ```
 //! use gumbo::prelude::*;
@@ -100,9 +99,8 @@ pub mod prelude {
     };
     pub use gumbo_datagen::{DataSpec, Workload};
     pub use gumbo_mr::{
-        Cluster, CostConstants, CostModelKind, DataPlane, Engine, EngineConfig, Executor,
-        ExecutorKind, JobConfig, JobDag, JobEstimate, MrProgram, ParallelExecutor, ProgramStats,
-        SimulatedExecutor,
+        Cluster, CostConstants, CostModelKind, EngineConfig, Executor, ExecutorKind, JobConfig,
+        JobDag, JobEstimate, MrProgram, ParallelExecutor, ProgramStats,
     };
     pub use gumbo_obs::{
         ChromeTraceSink, Counter, Gauge, JsonlSink, RingSink, TraceFormat, TraceSink,

@@ -1,39 +1,44 @@
-//! Allocation-count smoke tests for the columnar data plane.
+//! Allocation-count smoke tests for the columnar shuffle.
 //!
 //! The point of the batch layer is fewer, larger allocations: tuples live
 //! in shared arenas (one `Vec` per column plus one dictionary) instead of
 //! one `Vec<Value>` + `Arc` per tuple and one `BTreeMap` node per shuffle
 //! pair. These tests pin that property down with a counting global
-//! allocator: under a spill-forcing budget the columnar shuffle path must
-//! *allocate* (call count, not bytes) at least 10× less often than the
-//! legacy pair path on the same A3-derived pair stream, and it must stay
-//! ahead even fully in memory. The thresholds are deliberately loose —
-//! the measured gaps are larger — so the test stays a smoke check, not a
-//! benchmark.
+//! allocator: on an A3-derived pair stream the columnar shuffle must stay
+//! under fixed allocation ceilings, fully in memory and under a
+//! spill-forcing budget.
 //!
 //! The counter only tracks `alloc` calls (reallocs count once; frees are
-//! ignored), and the two measured regions run under a `Mutex` so the
-//! counts cannot interleave.
+//! ignored), and it counts per thread: each test measures the allocations
+//! of its own thread only, so whatever other tests (or the harness) do
+//! on other threads never leaks into a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use gumbo::datagen::queries;
 use gumbo::mr::{
     BatchPartition, MemBudget, MemoryBudget, Message, PairBatch, Payload, ShuffleSpill,
-    SpillingPartition,
 };
 use gumbo::prelude::*;
 
-/// A pass-through allocator that counts `alloc`/`realloc` calls.
+/// A pass-through allocator that counts `alloc`/`realloc` calls made by
+/// the current thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free: reading it never allocates and
+    // never registers a destructor, so the allocator may touch it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -42,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -50,17 +55,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serializes the measured regions across tests in this binary.
-static MEASURE: Mutex<()> = Mutex::new(());
-
-/// Run `f` and return how many allocation calls it made.
+/// Run `f` on this thread and return how many allocation calls it made.
 fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
-/// The shuffle stream both planes are measured on: every tuple of the A3
+/// The shuffle stream the tests measure: every tuple of the A3
 /// preset database keyed by its guard attribute (so many messages land on
 /// each reducer key, as in a real semi-join round), carrying the paper's
 /// fixed-width request messages (`Assert` and `Req`/`Ref` — 4 and
@@ -95,21 +97,6 @@ fn a3_pairs() -> Vec<(Tuple, Message)> {
     pairs
 }
 
-/// Drain a pair-plane partition end to end, returning the group count.
-fn run_pairs(pairs: &[(Tuple, Message)], budget: &MemoryBudget) -> usize {
-    let spill = ShuffleSpill::new("alloc-smoke-pairs");
-    let mut part = SpillingPartition::new(0, budget, &spill, 1);
-    for (k, v) in pairs {
-        part.push(k.clone(), v.clone()).unwrap();
-    }
-    let (mut stream, _) = part.into_groups().unwrap();
-    let mut groups = 0;
-    while let Some(_group) = stream.next_group().unwrap() {
-        groups += 1;
-    }
-    groups
-}
-
 /// Drain a columnar partition end to end, returning the group count.
 fn run_columnar(pairs: &[(Tuple, Message)], budget: &MemoryBudget) -> usize {
     let spill = ShuffleSpill::new("alloc-smoke-columnar");
@@ -118,7 +105,8 @@ fn run_columnar(pairs: &[(Tuple, Message)], budget: &MemoryBudget) -> usize {
     for (k, v) in pairs {
         batch.push_pair(k, v);
     }
-    part.push_batch(&batch).unwrap();
+    let rows: Vec<u32> = (0..batch.len() as u32).collect();
+    part.push_rows(&batch, &rows).unwrap();
     drop(batch);
     let (mut stream, _) = part.into_groups().unwrap();
     let mut groups = 0;
@@ -129,25 +117,28 @@ fn run_columnar(pairs: &[(Tuple, Message)], budget: &MemoryBudget) -> usize {
     groups
 }
 
-/// The columnar shuffle allocates ≥10× fewer times than the legacy pair
-/// shuffle on the same stream, with and without a spill-forcing budget.
+/// The columnar shuffle stays under fixed allocation ceilings on the A3
+/// stream, with and without a spill-forcing budget.
+///
+/// The ceilings come from the owned-pair shuffle this crate used to
+/// carry, measured on the same stream: 1419 allocations in memory and
+/// 29545 under the 4 KiB budget, where it decoded every spilled pair.
+/// The columnar path must beat the former outright (floor 1) and the
+/// latter tenfold (floor 10); it measures 755 and 1689.
 #[test]
 fn columnar_shuffle_allocates_ten_times_less() {
-    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let pairs = a3_pairs();
-    for (limit, floor) in [(MemBudget::UNLIMITED, 1), (MemBudget::bytes(4096), 10)] {
-        let pair_budget = MemoryBudget::new(limit);
-        let batch_budget = MemoryBudget::new(limit);
-        let (legacy, pair_groups) = count_allocations(|| run_pairs(&pairs, &pair_budget));
-        let (columnar, batch_groups) = count_allocations(|| run_columnar(&pairs, &batch_budget));
-        assert_eq!(pair_groups, batch_groups, "both planes see the same groups");
-        // Measured locally: ~1.9x in memory, ~31x once the budget forces
-        // per-pair spill decoding on the legacy plane; the floors leave
-        // generous headroom against allocator jitter.
+    for (limit, pair_allocs, floor) in [
+        (MemBudget::UNLIMITED, 1419u64, 1u64),
+        (MemBudget::bytes(4096), 29545, 10),
+    ] {
+        let budget = MemoryBudget::new(limit);
+        let (columnar, groups) = count_allocations(|| run_columnar(&pairs, &budget));
+        assert!(groups > 0, "the stream must form groups");
         assert!(
-            columnar * floor < legacy,
-            "columnar plane must allocate >={floor}x less under budget {limit:?}: \
-             legacy {legacy}, columnar {columnar}"
+            columnar * floor < pair_allocs,
+            "columnar shuffle must allocate >={floor}x less than the pair shuffle's \
+             {pair_allocs} under budget {limit:?}: saw {columnar}"
         );
     }
 }
@@ -157,7 +148,6 @@ fn columnar_shuffle_allocates_ten_times_less() {
 /// closures never run, and metrics skip lazy registration entirely.
 #[test]
 fn disabled_tracing_allocates_nothing() {
-    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     assert!(
         !gumbo::obs::enabled(),
         "no sink is ever installed in this test binary"
@@ -182,7 +172,6 @@ fn disabled_tracing_allocates_nothing() {
 /// (the projected `Vec<Value>` + its `Arc` header) — no per-value clones.
 #[test]
 fn int_projection_allocates_once_per_tuple() {
-    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let tuples: Vec<Tuple> = (0..1000)
         .map(|i| Tuple::from_ints(&[i, i + 1, i + 2]))
         .collect();

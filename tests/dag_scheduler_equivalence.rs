@@ -67,7 +67,7 @@ fn dag_scheduler_matches_round_barrier_on_every_datagen_preset() {
         let db = workload.spec.clone().with_tuples(300).database(7);
 
         let dfs_rounds = SimDfs::from_database(&db);
-        let stats_rounds = engine(None, ExecutorKind::Simulated)
+        let stats_rounds = engine(None, ExecutorKind::default())
             .evaluate(&dfs_rounds, &workload.query)
             .unwrap_or_else(|e| panic!("{} (rounds): {e}", workload.name));
 
@@ -77,7 +77,7 @@ fn dag_scheduler_matches_round_barrier_on_every_datagen_preset() {
                 ..SchedulerConfig::default()
             });
             let dfs_dag = SimDfs::from_database(&db);
-            let stats_dag = engine(scheduler, ExecutorKind::Simulated)
+            let stats_dag = engine(scheduler, ExecutorKind::default())
                 .evaluate(&dfs_dag, &workload.query)
                 .unwrap_or_else(|e| panic!("{} (dag x{max_jobs}): {e}", workload.name));
             assert_equivalent(
@@ -102,7 +102,7 @@ fn dag_scheduler_with_tiny_budget_matches_unbudgeted_round_barrier() {
         let db = workload.spec.clone().with_tuples(300).database(7);
 
         let dfs_rounds = SimDfs::from_database(&db);
-        let stats_rounds = engine(None, ExecutorKind::Simulated)
+        let stats_rounds = engine(None, ExecutorKind::default())
             .evaluate(&dfs_rounds, &workload.query)
             .unwrap_or_else(|e| panic!("{} (rounds): {e}", workload.name));
 
@@ -111,7 +111,7 @@ fn dag_scheduler_with_tiny_budget_matches_unbudgeted_round_barrier() {
             mem_budget: gumbo::mr::MemBudget::bytes(BUDGET),
             ..SchedulerConfig::default()
         });
-        let budgeted = engine(scheduler, ExecutorKind::Simulated);
+        let budgeted = engine(scheduler, ExecutorKind::default());
         let runtime = budgeted.runtime();
         let dfs_dag = SimDfs::from_database(&db);
         let stats_dag = budgeted
@@ -137,7 +137,7 @@ fn dag_scheduler_with_tiny_budget_matches_unbudgeted_round_barrier() {
 #[test]
 fn placement_policies_match_round_barrier_on_every_preset() {
     // The ISSUE-4 acceptance matrix: all three placement policies ×
-    // both executors × {unlimited, tiny budget}, on every datagen
+    // {1, 2 workers} × {unlimited, tiny budget}, on every datagen
     // preset — byte-identical relations and identical non-timing
     // statistics versus the round barrier. Placement reorders only
     // ready jobs, so nothing observable may change.
@@ -146,7 +146,7 @@ fn placement_policies_match_round_barrier_on_every_preset() {
         let db = workload.spec.clone().with_tuples(120).database(11);
 
         let dfs_rounds = SimDfs::from_database(&db);
-        let stats_rounds = engine(None, ExecutorKind::Simulated)
+        let stats_rounds = engine(None, ExecutorKind::default())
             .evaluate(&dfs_rounds, &workload.query)
             .unwrap_or_else(|e| panic!("{} (rounds): {e}", workload.name));
         assert!(
@@ -156,7 +156,7 @@ fn placement_policies_match_round_barrier_on_every_preset() {
 
         for policy in PlacementPolicy::ALL {
             for executor in [
-                ExecutorKind::Simulated,
+                ExecutorKind::default(),
                 ExecutorKind::Parallel { threads: 2 },
             ] {
                 for budget in [None, Some(BUDGET)] {
@@ -206,7 +206,7 @@ fn predicted_net_time_is_policy_invariant_and_positive() {
             ..SchedulerConfig::default()
         });
         let dfs = SimDfs::from_database(&db);
-        let stats = engine(scheduler, ExecutorKind::Simulated)
+        let stats = engine(scheduler, ExecutorKind::default())
             .evaluate(&dfs, &workload.query)
             .unwrap();
         let predicted = stats.predicted_net_time.unwrap();
@@ -222,12 +222,12 @@ fn predicted_net_time_is_policy_invariant_and_positive() {
 fn dag_scheduler_composes_with_parallel_runtime() {
     // The scheduler supplies inter-job concurrency while each job's own
     // map/shuffle/reduce fans out on the parallel runtime — stats must
-    // still be identical to plain round-barrier simulated execution.
+    // still be identical to plain one-worker round-barrier execution.
     let workload = queries::a3().with_tuples(300);
     let db = workload.spec.database(7);
 
     let dfs_rounds = SimDfs::from_database(&db);
-    let stats_rounds = engine(None, ExecutorKind::Simulated)
+    let stats_rounds = engine(None, ExecutorKind::default())
         .evaluate(&dfs_rounds, &workload.query)
         .unwrap();
 
@@ -255,7 +255,7 @@ fn dag_scheduler_composes_with_parallel_runtime() {
 #[test]
 fn dag_scheduler_matches_naive_reference_on_c2() {
     // Independent ground truth for a nested program: the scheduled path
-    // agrees with direct SGF semantics, not just with the simulator.
+    // agrees with direct SGF semantics, not just with the round barrier.
     let workload = queries::c2().with_tuples(250);
     let db = workload.spec.database(3);
     let expected = NaiveEvaluator::new()
@@ -263,7 +263,7 @@ fn dag_scheduler_matches_naive_reference_on_c2() {
         .unwrap();
 
     let dfs = SimDfs::from_database(&db);
-    engine(Some(SchedulerConfig::default()), ExecutorKind::Simulated)
+    engine(Some(SchedulerConfig::default()), ExecutorKind::default())
         .evaluate(&dfs, &workload.query)
         .unwrap();
     for q in workload.query.queries() {

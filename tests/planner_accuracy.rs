@@ -29,10 +29,13 @@ fn estimates_track_measured_costs() {
         64,
         3,
     );
-    let engine = Engine::new(EngineConfig {
-        scale,
-        ..EngineConfig::default()
-    });
+    let engine = ParallelExecutor::with_threads(
+        EngineConfig {
+            scale,
+            ..EngineConfig::default()
+        },
+        1,
+    );
 
     for group in [vec![0], vec![0, 1], vec![0, 1, 2, 3]] {
         let estimated = est
@@ -105,10 +108,13 @@ fn estimator_preserves_cost_orderings() {
 #[test]
 fn pairwise_ranking_accuracy_is_high() {
     let scale = 25_000;
-    let engine = Engine::new(EngineConfig {
-        scale,
-        ..EngineConfig::default()
-    });
+    let engine = ParallelExecutor::with_threads(
+        EngineConfig {
+            scale,
+            ..EngineConfig::default()
+        },
+        1,
+    );
     let mut observations: Vec<(f64, f64)> = Vec::new(); // (estimated, measured)
 
     for w in [queries::a1(), queries::a2(), queries::a3()] {

@@ -1,8 +1,8 @@
 //! Tracing smoke tests: the observability plane must tell the truth.
 //!
 //! Three properties are pinned down across the whole execution matrix
-//! (every datagen preset × both executors × both scheduling paths ×
-//! both data planes):
+//! (every datagen preset × one and two workers × both scheduling
+//! paths):
 //!
 //! * **balance** — on every worker lane, span Begin/End events bracket
 //!   like parentheses with matching names, and nothing is left open;
@@ -110,14 +110,12 @@ fn traced_run(
     workload: &gumbo::datagen::Workload,
     executor: ExecutorKind,
     scheduler: Option<SchedulerConfig>,
-    plane: gumbo::mr::DataPlane,
     budget: gumbo::mr::MemBudget,
 ) -> (Vec<Event>, ProgramStats) {
     let db = workload.spec.clone().with_tuples(120).database(11);
     let engine = GumboEngine::with_executor(
         EngineConfig {
             scale: 5_000,
-            data_plane: plane,
             ..EngineConfig::default()
         },
         executor,
@@ -137,14 +135,14 @@ fn traced_run(
     (ring.events(), stats)
 }
 
-/// Every preset × executor × scheduler × data plane leaves a balanced
-/// trace with one `job` span and one full phase set per executed job.
+/// Every preset × worker count × scheduler leaves a balanced trace with
+/// one `job` span and one full phase set per executed job.
 #[test]
 fn spans_balance_across_the_execution_matrix() {
     let _serial = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     for workload in presets() {
         for executor in [
-            ExecutorKind::Simulated,
+            ExecutorKind::Parallel { threads: 1 },
             ExecutorKind::Parallel { threads: 2 },
         ] {
             for scheduler in [
@@ -154,70 +152,67 @@ fn spans_balance_across_the_execution_matrix() {
                     ..SchedulerConfig::default()
                 }),
             ] {
-                for plane in [gumbo::mr::DataPlane::Pairs, gumbo::mr::DataPlane::Columnar] {
-                    let scheduled = scheduler.is_some();
-                    let label = format!(
-                        "{} ({}, {}, {plane:?})",
-                        workload.name,
-                        executor.label(),
-                        if scheduled { "dag" } else { "rounds" },
-                    );
-                    let (events, stats) = traced_run(
-                        &workload,
-                        executor,
-                        scheduler,
-                        plane,
-                        gumbo::mr::MemBudget::UNLIMITED,
-                    );
-                    assert_balanced(&label, &events);
-                    let begins = |name: &str| {
-                        events
-                            .iter()
-                            .filter(|e| e.kind == EventKind::Begin && e.name == name)
-                            .count()
-                    };
-                    let jobs = stats.num_jobs();
-                    for phase in ["job", "plan", "map", "shuffle:flush", "reduce", "commit"] {
-                        assert_eq!(
-                            begins(phase),
-                            jobs,
-                            "{label}: expected one {phase:?} span per job"
-                        );
-                    }
-                    let claims = events
+                let scheduled = scheduler.is_some();
+                let label = format!(
+                    "{} ({}, {})",
+                    workload.name,
+                    executor.label(),
+                    if scheduled { "dag" } else { "rounds" },
+                );
+                let (events, stats) = traced_run(
+                    &workload,
+                    executor,
+                    scheduler,
+                    gumbo::mr::MemBudget::UNLIMITED,
+                );
+                assert_balanced(&label, &events);
+                let begins = |name: &str| {
+                    events
                         .iter()
-                        .filter(|e| e.kind == EventKind::Instant && e.name == "sched:claim")
-                        .count();
-                    if scheduled {
-                        assert_eq!(claims, jobs, "{label}: one claim per scheduled job");
-                        // Nesting: each job span opens on the lane that
-                        // just emitted its claim, so the most recent
-                        // claim on that lane names the same job.
-                        for begin in events
+                        .filter(|e| e.kind == EventKind::Begin && e.name == name)
+                        .count()
+                };
+                let jobs = stats.num_jobs();
+                for phase in ["job", "plan", "map", "shuffle:flush", "reduce", "commit"] {
+                    assert_eq!(
+                        begins(phase),
+                        jobs,
+                        "{label}: expected one {phase:?} span per job"
+                    );
+                }
+                let claims = events
+                    .iter()
+                    .filter(|e| e.kind == EventKind::Instant && e.name == "sched:claim")
+                    .count();
+                if scheduled {
+                    assert_eq!(claims, jobs, "{label}: one claim per scheduled job");
+                    // Nesting: each job span opens on the lane that
+                    // just emitted its claim, so the most recent
+                    // claim on that lane names the same job.
+                    for begin in events
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, e)| e.kind == EventKind::Begin && e.name == "job")
+                    {
+                        let (idx, job_span) = begin;
+                        let claim = events[..idx]
                             .iter()
-                            .enumerate()
-                            .filter(|(_, e)| e.kind == EventKind::Begin && e.name == "job")
-                        {
-                            let (idx, job_span) = begin;
-                            let claim = events[..idx]
-                                .iter()
-                                .rev()
-                                .find(|e| e.lane == job_span.lane && e.name == "sched:claim")
-                                .unwrap_or_else(|| {
-                                    panic!("{label}: job span without a prior claim on its lane")
-                                });
-                            assert_eq!(
-                                field_str(claim, "job"),
-                                field_str(job_span, "job"),
-                                "{label}: job span nests under a different job's claim"
-                            );
-                        }
-                    } else {
+                            .rev()
+                            .find(|e| e.lane == job_span.lane && e.name == "sched:claim")
+                            .unwrap_or_else(|| {
+                                panic!("{label}: job span without a prior claim on its lane")
+                            });
                         assert_eq!(
-                            claims, 0,
-                            "{label}: no scheduler events on the barrier path"
+                            field_str(claim, "job"),
+                            field_str(job_span, "job"),
+                            "{label}: job span nests under a different job's claim"
                         );
                     }
+                } else {
+                    assert_eq!(
+                        claims, 0,
+                        "{label}: no scheduler events on the barrier path"
+                    );
                 }
             }
         }
@@ -226,22 +221,24 @@ fn spans_balance_across_the_execution_matrix() {
 
 /// Under a spill-forcing budget, the `spill:run` spans' byte fields sum
 /// to exactly each job's `spilled_bytes`, and the `commit` ledger
-/// matches the stats' estimated/observed costs — on both data planes.
+/// matches the stats' estimated/observed costs — on one and two workers.
 #[test]
 fn spill_spans_and_commit_ledger_reconcile_with_job_stats() {
     let _serial = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     let workload = queries::a3();
-    for plane in [gumbo::mr::DataPlane::Pairs, gumbo::mr::DataPlane::Columnar] {
+    for executor in [
+        ExecutorKind::Parallel { threads: 1 },
+        ExecutorKind::Parallel { threads: 2 },
+    ] {
         let (events, stats) = traced_run(
             &workload,
-            ExecutorKind::Simulated,
+            executor,
             Some(SchedulerConfig::default()),
-            plane,
             gumbo::mr::MemBudget::bytes(4096),
         );
         assert!(
             stats.spilled_bytes() > 0,
-            "{plane:?}: the 4 KiB budget must force spilling"
+            "{executor:?}: the 4 KiB budget must force spilling"
         );
 
         // Per-job reconciliation: spill:run Begin events carry the exact
@@ -259,7 +256,7 @@ fn spill_spans_and_commit_ledger_reconcile_with_job_stats() {
             assert_eq!(
                 traced_bytes.get(job.name.as_str()).copied().unwrap_or(0),
                 job.spilled_bytes,
-                "{plane:?}: spill:run bytes disagree with stats for job {}",
+                "{executor:?}: spill:run bytes disagree with stats for job {}",
                 job.name
             );
         }
@@ -274,32 +271,32 @@ fn spill_spans_and_commit_ledger_reconcile_with_job_stats() {
                         && e.name == "commit"
                         && field_str(e, "job") == Some(job.name.as_str())
                 })
-                .unwrap_or_else(|| panic!("{plane:?}: no commit span for job {}", job.name));
+                .unwrap_or_else(|| panic!("{executor:?}: no commit span for job {}", job.name));
             assert_eq!(
                 field_f64(commit, "observed_cost"),
                 Some(job.total_cost),
-                "{plane:?}: observed cost mismatch for {}",
+                "{executor:?}: observed cost mismatch for {}",
                 job.name
             );
             assert_eq!(
                 field_f64(commit, "estimated_cost"),
                 job.estimated_cost,
-                "{plane:?}: estimated cost mismatch for {}",
+                "{executor:?}: estimated cost mismatch for {}",
                 job.name
             );
             if let Some(expected) = job.estimate_error() {
                 let traced = field_f64(commit, "estimate_error")
-                    .unwrap_or_else(|| panic!("{plane:?}: {} has no ledger ratio", job.name));
+                    .unwrap_or_else(|| panic!("{executor:?}: {} has no ledger ratio", job.name));
                 assert!(
                     (traced - expected).abs() < 1e-12,
-                    "{plane:?}: estimate_error {traced} vs {expected} for {}",
+                    "{executor:?}: estimate_error {traced} vs {expected} for {}",
                     job.name
                 );
             }
         }
         assert!(
             stats.jobs.iter().any(|j| j.estimated_cost.is_some()),
-            "{plane:?}: planner-built jobs must carry estimates"
+            "{executor:?}: planner-built jobs must carry estimates"
         );
     }
 }
@@ -351,7 +348,7 @@ fn panicking_reducer_leaves_closed_spans_and_valid_chrome_json() {
     ));
     let chrome = gumbo::obs::ChromeTraceSink::create(&path).unwrap();
     gumbo::obs::install(Arc::new(chrome));
-    let executor = ExecutorKind::Simulated.build(EngineConfig::default());
+    let executor = ExecutorKind::default().build(EngineConfig::default());
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let dfs = SimDfs::from_database(&db);
         executor.execute(&dfs, &program)
