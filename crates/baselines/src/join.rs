@@ -149,7 +149,6 @@ pub fn build_join_job(
         reducer: Box::new(JoinReducer { routes }),
         config,
         estimate: None,
-        filter: None,
     }
 }
 

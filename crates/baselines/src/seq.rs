@@ -216,7 +216,6 @@ impl SeqStrategy {
             }),
             config: self.job_config,
             estimate: None,
-            filter: None,
         }))
     }
 }

@@ -98,13 +98,6 @@ pub struct EvalOptions {
     /// [`gumbo_storage::DEFAULT_CACHE_BYTES`]. Cache sizing can change
     /// wall clock and cache counters only, never answers or byte meters.
     pub dfs_cache: Option<u64>,
-    /// Bloom-filtered semijoin shuffle (`--shuffle-filter` on the CLI).
-    /// `Off` shuffles every message; `Bloom` filters every MSJ job;
-    /// `Auto` filters only jobs whose planner prediction says the
-    /// suppressed bytes exceed the filter broadcast. Answers are
-    /// byte-identical either way — filtering changes byte meters and wall
-    /// clock only.
-    pub shuffle_filter: gumbo_mr::ShuffleFilterMode,
 }
 
 impl Default for EvalOptions {
@@ -121,7 +114,6 @@ impl Default for EvalOptions {
             scheduler: None,
             mem_budget: gumbo_mr::MemBudget::UNLIMITED,
             dfs_cache: None,
-            shuffle_filter: gumbo_mr::ShuffleFilterMode::Off,
         }
     }
 }
@@ -142,12 +134,6 @@ impl EvalOptions {
     /// Builder-style: set the durable-DFS block-cache budget in bytes.
     pub fn with_dfs_cache(mut self, bytes: u64) -> Self {
         self.dfs_cache = Some(bytes);
-        self
-    }
-
-    /// Builder-style: set the Bloom-filtered shuffle mode.
-    pub fn with_shuffle_filter(mut self, mode: gumbo_mr::ShuffleFilterMode) -> Self {
-        self.shuffle_filter = mode;
         self
     }
 }
@@ -203,9 +189,6 @@ impl GumboEngine {
         let mut config = self.config;
         if self.options.mem_budget.is_limited() {
             config.mem_budget = self.options.mem_budget;
-        }
-        if self.options.shuffle_filter != gumbo_mr::ShuffleFilterMode::Off {
-            config.shuffle_filter = self.options.shuffle_filter;
         }
         let kind = match self.options.scheduler {
             Some(sched) => {
@@ -301,7 +284,6 @@ impl GumboEngine {
                 return Ok(BsgfSetPlan::one_round(OneRoundKind::Disjunctive, cfg));
             }
         }
-        let shuffle_filter = self.options.shuffle_filter;
         let n = ctx.semijoins().len();
         let mode = self.options.mode;
         let groups: Vec<Vec<usize>> = match self.options.grouping {
@@ -339,7 +321,7 @@ impl GumboEngine {
                     .collect()
             }
         };
-        Ok(BsgfSetPlan::two_round(groups, mode, cfg).with_shuffle_filter(shuffle_filter))
+        Ok(BsgfSetPlan::two_round(groups, mode, cfg))
     }
 
     /// Start a builder-style evaluation request — the one entrypoint

@@ -16,12 +16,11 @@
 //! planner-accuracy story of §5.2.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
-use gumbo_common::{ByteSize, GumboError, RelationName, Result, Tuple};
+use gumbo_common::{ByteSize, GumboError, RelationName, Result};
 use gumbo_mr::{
-    filter_bytes_for, job_cost, predicted_fp_rate_for, CostConstants, CostModelKind,
-    InputPartition, JobConfig, JobEstimate, JobProfile,
+    job_cost, CostConstants, CostModelKind, InputPartition, JobConfig, JobEstimate, JobProfile,
 };
 use gumbo_sgf::Atom;
 use gumbo_storage::{reservoir_sample, Dfs};
@@ -87,45 +86,11 @@ impl Catalog {
     }
 }
 
-/// Plan-time prediction of what a Bloom-filtered shuffle
-/// ([`gumbo_mr::ShuffleFilterMode`]) saves on one MSJ job: the broadcast
-/// cost of the per-group filters weighed against the shuffle bytes they
-/// suppress. Computed by [`Estimator::msj_filter_prediction`] from the
-/// *exact* key overlap of the (unscaled) base relations — the planner-side
-/// mirror of the engine's filter build prepass — then priced at catalog
-/// scale like every other estimate.
-#[derive(Debug, Clone)]
-pub struct FilterPrediction {
-    /// Broadcast bytes of the per-group Bloom filter pair, scaled.
-    pub filter_bytes: ByteSize,
-    /// Predicted shuffle bytes suppressed (net of false positives), scaled.
-    pub saved_bytes: ByteSize,
-    /// Predicted suppressed messages, scaled.
-    pub saved_records: u64,
-    /// Predicted false-positive rate over non-matching probes (weighted
-    /// across the job's filters).
-    pub predicted_fp_rate: f64,
-    /// Per input relation: (map-output bytes, records) suppressed, scaled —
-    /// what [`Estimator::msj_filtered_estimate`] subtracts per partition.
-    saved_per_input: HashMap<String, (f64, f64)>,
-}
-
-impl FilterPrediction {
-    /// Whether filtering is predicted to reduce net shuffled bytes: the
-    /// suppressed volume must exceed the filter broadcast itself. This is
-    /// the `auto`-mode verdict.
-    pub fn profitable(&self) -> bool {
-        self.saved_bytes > self.filter_bytes
-    }
-}
-
 /// The plan cost estimator.
 pub struct Estimator<'a> {
     catalog: Catalog,
     constants: CostConstants,
     model: CostModelKind,
-    /// Cost-model scale the catalog was built at (1 for analytic).
-    scale: u64,
     /// Sampling source for conformance rates (None = assume full conformance,
     /// the simplification the paper's own Eq. 5/6 analysis makes).
     dfs: Option<&'a dyn Dfs>,
@@ -148,7 +113,6 @@ impl<'a> Estimator<'a> {
             catalog: Catalog::from_dfs(dfs, scale),
             constants,
             model,
-            scale,
             dfs: Some(dfs),
             sample_size,
             seed,
@@ -163,7 +127,6 @@ impl<'a> Estimator<'a> {
             catalog,
             constants,
             model,
-            scale: 1,
             dfs: None,
             sample_size: 0,
             seed: 0,
@@ -343,177 +306,6 @@ impl<'a> Estimator<'a> {
             &self.constants,
             &self.msj_profile(ctx, group, mode, cfg)?,
         ))
-    }
-
-    /// Predict what a Bloom-filtered shuffle saves on `MSJ(group)`.
-    ///
-    /// Mirrors the engine's filter semantics exactly: per assert group, a
-    /// request survives iff its join key is in the group's assert-key set
-    /// (up to false positives), and an assert survives iff its key is
-    /// requested by some guard routed to the group. The overlap is computed
-    /// on the materialized base relations (via [`Dfs::peek`], unmetered),
-    /// so `None` is returned for the analytic estimator or when an input
-    /// is not yet materialized — in which case `auto` mode leaves the job
-    /// unfiltered.
-    pub fn msj_filter_prediction(
-        &self,
-        ctx: &QueryContext,
-        group: &[usize],
-        mode: PayloadMode,
-        bits_per_key: u32,
-    ) -> Option<FilterPrediction> {
-        let dfs = self.dfs?;
-        let sjs: Vec<&SemiJoin> = group.iter().map(|&i| ctx.semijoin(i)).collect();
-        let (assert_groups, assignment) = cond_groups(&sjs);
-        if assert_groups.is_empty() {
-            return None;
-        }
-
-        // Materialize every input relation once (unmetered peeks).
-        let mut rels: HashMap<RelationName, std::sync::Arc<gumbo_common::Relation>> =
-            HashMap::new();
-        for name in sjs
-            .iter()
-            .map(|sj| sj.guard.relation())
-            .chain(assert_groups.iter().map(|(atom, _)| atom.relation()))
-        {
-            if !rels.contains_key(name) {
-                rels.insert(name.clone(), dfs.peek(name).ok()?);
-            }
-        }
-
-        // Pass 1: the assert-key set of every group (what requests probe).
-        let mut assert_keys: Vec<HashSet<Tuple>> = vec![HashSet::new(); assert_groups.len()];
-        for (g, (atom, key_vars)) in assert_groups.iter().enumerate() {
-            for t in rels[atom.relation()].iter() {
-                if atom.conforms_tuple(t) {
-                    assert_keys[g].insert(atom.project(t, key_vars));
-                }
-            }
-        }
-
-        // Pass 2: per semi-join, the requested keys (what asserts probe)
-        // and the number of requests whose key misses the assert set.
-        let mut req_keys: Vec<HashSet<Tuple>> = vec![HashSet::new(); assert_groups.len()];
-        let mut req_miss = vec![0u64; sjs.len()];
-        for (local, sj) in sjs.iter().enumerate() {
-            let g = assignment[&sj.id];
-            for t in rels[sj.guard.relation()].iter() {
-                if sj.guard.conforms_tuple(t) {
-                    let key = sj.guard.project(t, &sj.join_key);
-                    if !assert_keys[g].contains(&key) {
-                        req_miss[local] += 1;
-                    }
-                    req_keys[g].insert(key);
-                }
-            }
-        }
-
-        // Pass 3: asserts whose key no routed guard requests.
-        let mut assert_miss = vec![0u64; assert_groups.len()];
-        for (g, (atom, key_vars)) in assert_groups.iter().enumerate() {
-            for t in rels[atom.relation()].iter() {
-                if atom.conforms_tuple(t) && !req_keys[g].contains(&atom.project(t, key_vars)) {
-                    assert_miss[g] += 1;
-                }
-            }
-        }
-
-        // Price the suppression: a miss is shuffled anyway with probability
-        // fp (the probed filter's false-positive rate), and every message
-        // costs what `msj_profile` charges it.
-        let mut raw_filter_bytes = 0u64;
-        let mut saved_per_input: HashMap<String, (f64, f64)> = HashMap::new();
-        let mut fp_weighted = 0.0f64;
-        let mut fp_weight = 0u64;
-        let scale = self.scale as f64;
-        for (local, sj) in sjs.iter().enumerate() {
-            let g = assignment[&sj.id];
-            let fp = predicted_fp_rate_for(assert_keys[g].len() as u64, bits_per_key);
-            let saved = req_miss[local] as f64 * (1.0 - fp) * scale;
-            let per_msg = VALUE_BYTES * sj.join_key.len() as f64
-                + HEADER_BYTES
-                + Self::payload_bytes(sj, mode);
-            let slot = saved_per_input
-                .entry(sj.guard.relation().to_string())
-                .or_default();
-            slot.0 += saved * per_msg;
-            slot.1 += saved;
-            fp_weighted += fp * req_miss[local] as f64;
-            fp_weight += req_miss[local];
-        }
-        for (g, (atom, key_vars)) in assert_groups.iter().enumerate() {
-            let fp = predicted_fp_rate_for(req_keys[g].len() as u64, bits_per_key);
-            let saved = assert_miss[g] as f64 * (1.0 - fp) * scale;
-            let per_msg = VALUE_BYTES * key_vars.len() as f64 + HEADER_BYTES;
-            let slot = saved_per_input
-                .entry(atom.relation().to_string())
-                .or_default();
-            slot.0 += saved * per_msg;
-            slot.1 += saved;
-            fp_weighted += fp * assert_miss[g] as f64;
-            fp_weight += assert_miss[g];
-            raw_filter_bytes += filter_bytes_for(assert_keys[g].len() as u64, bits_per_key)
-                + filter_bytes_for(req_keys[g].len() as u64, bits_per_key);
-        }
-
-        let predicted_fp_rate = if fp_weight > 0 {
-            fp_weighted / fp_weight as f64
-        } else {
-            0.0
-        };
-        let saved_bytes = ByteSize::bytes(
-            saved_per_input
-                .values()
-                .map(|(b, _)| b)
-                .sum::<f64>()
-                .round() as u64,
-        );
-        let saved_records = saved_per_input
-            .values()
-            .map(|(_, r)| r)
-            .sum::<f64>()
-            .round() as u64;
-        Some(FilterPrediction {
-            filter_bytes: ByteSize::bytes(raw_filter_bytes).scaled(self.scale),
-            saved_bytes,
-            saved_records,
-            predicted_fp_rate,
-            saved_per_input,
-        })
-    }
-
-    /// [`Estimator::msj_estimate`] under a Bloom-filtered shuffle: the
-    /// per-partition map output shrinks by the predicted suppression and
-    /// the filter broadcast is charged as transfer
-    /// ([`JobEstimate::with_filter`]) — the same decomposition the engine
-    /// measures for a filtered job.
-    pub fn msj_filtered_estimate(
-        &self,
-        ctx: &QueryContext,
-        group: &[usize],
-        mode: PayloadMode,
-        cfg: &JobConfig,
-        pred: &FilterPrediction,
-    ) -> Result<JobEstimate> {
-        let mut profile = self.msj_profile(ctx, group, mode, cfg)?;
-        for p in &mut profile.partitions {
-            if let Some(&(bytes, records)) = pred.saved_per_input.get(&p.label) {
-                p.map_output =
-                    ByteSize::bytes(p.map_output.as_bytes().saturating_sub(bytes.round() as u64));
-                p.records_out = p.records_out.saturating_sub(records.round() as u64);
-            }
-        }
-        let total_in: ByteSize = profile.partitions.iter().map(|p| p.input).sum();
-        let total_m: ByteSize = profile.partitions.iter().map(|p| p.map_output).sum();
-        profile.reducers = cfg.reducer_policy.reducers(total_in, total_m);
-        Ok(
-            JobEstimate::from_profile(self.model, &self.constants, &profile).with_filter(
-                &self.constants,
-                pred.filter_bytes,
-                pred.predicted_fp_rate,
-            ),
-        )
     }
 
     /// Estimated cost of `MSJ(group)`.

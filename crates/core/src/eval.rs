@@ -189,7 +189,6 @@ pub fn build_eval_job(ctx: &QueryContext, mode: PayloadMode, config: JobConfig) 
         }),
         config,
         estimate: None,
-        filter: None,
     }
 }
 

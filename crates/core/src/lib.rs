@@ -24,6 +24,6 @@ pub mod planner;
 pub mod semijoin;
 
 pub use engine::{EvalOptions, EvalRequest, Grouping, GumboEngine, SortStrategy};
-pub use estimate::{Estimator, FilterPrediction};
+pub use estimate::Estimator;
 pub use plan::{BsgfSetPlan, PayloadMode};
 pub use semijoin::{QueryContext, SemiJoin};

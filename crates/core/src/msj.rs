@@ -16,7 +16,7 @@
 //!   or a `(guard, id)` reference (§5.1 (2)).
 
 use gumbo_common::{RelationName, Tuple, Value};
-use gumbo_mr::{FilterSpec, Job, JobConfig, Mapper, Message, Payload, Reducer};
+use gumbo_mr::{Job, JobConfig, Mapper, Message, Payload, Reducer};
 use gumbo_sgf::{Atom, Var};
 
 use crate::plan::PayloadMode;
@@ -214,14 +214,6 @@ pub fn build_msj_job_salted(
         .collect();
 
     let x_list: Vec<String> = sjs.iter().map(|sj| sj.x_name.to_string()).collect();
-    // The filter spec mirrors the reducer's routing table: a local Req
-    // condition probes the assert filter of its group, and vice versa —
-    // exactly the membership the reducer checks, so suppression can never
-    // drop a message the reducer would have matched.
-    let filter = FilterSpec::new(
-        routes.iter().map(|(_, group)| *group).collect(),
-        assert_groups.len(),
-    );
     Job {
         name: format!("MSJ({})", x_list.join(",")),
         inputs,
@@ -235,7 +227,6 @@ pub fn build_msj_job_salted(
         reducer: Box::new(MsjReducer { routes }),
         config,
         estimate: None,
-        filter: Some(filter),
     }
 }
 

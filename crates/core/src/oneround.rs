@@ -331,7 +331,6 @@ fn build_job(
         reducer,
         config,
         estimate: None,
-        filter: None,
     }
 }
 

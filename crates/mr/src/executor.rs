@@ -31,9 +31,6 @@ use crate::metrics::{JobStats, ProgramStats, RoundStats};
 use crate::profile::{InputPartition, JobProfile};
 use crate::program::MrProgram;
 use crate::shuffle::{MemBudget, MemoryBudget, SpillStats};
-use crate::shuffle_filter::{
-    FilterCollector, FilterStats, JobFilters, ProbeTally, ShuffleFilterMode,
-};
 
 /// Engine configuration, shared by every executor.
 #[derive(Debug, Clone, Copy)]
@@ -56,13 +53,6 @@ pub struct EngineConfig {
     /// buffers, spilling sorted runs to disk (see [`crate::shuffle`])
     /// instead of exceeding it. Answers are byte-identical either way.
     pub mem_budget: MemBudget,
-    /// Bloom-filtered semijoin shuffle ([`crate::shuffle_filter`]): when
-    /// enabled, jobs carrying a [`crate::shuffle_filter::FilterSpec`]
-    /// build per-side key filters before the map phase and suppress
-    /// `Assert`/`Req` messages whose keys cannot match. Answers are
-    /// byte-identical either way; only shuffled bytes (and the filter
-    /// broadcast accounting) change.
-    pub shuffle_filter: ShuffleFilterMode,
 }
 
 impl Default for EngineConfig {
@@ -73,7 +63,6 @@ impl Default for EngineConfig {
             constants: CostConstants::default(),
             model: CostModelKind::Gumbo,
             mem_budget: MemBudget::UNLIMITED,
-            shuffle_filter: ShuffleFilterMode::Off,
         }
     }
 }
@@ -90,12 +79,6 @@ impl EngineConfig {
     /// Builder-style: set the shuffle memory budget.
     pub fn with_mem_budget(mut self, budget: MemBudget) -> Self {
         self.mem_budget = budget;
-        self
-    }
-
-    /// Builder-style: set the Bloom-filtered shuffle mode.
-    pub fn with_shuffle_filter(mut self, mode: ShuffleFilterMode) -> Self {
-        self.shuffle_filter = mode;
         self
     }
 }
@@ -355,66 +338,6 @@ pub fn plan_job(config: &EngineConfig, dfs: &dyn Dfs, job: &Job) -> Result<MapPl
     })
 }
 
-/// Build a planned job's shuffle filters (the **build** stage of the
-/// two-stage filtered shuffle), or `None` when the configured mode, the
-/// job's missing [`crate::shuffle_filter::FilterSpec`] or the planner's
-/// `auto` verdict say to run unfiltered.
-///
-/// Runs the mapper once over every task's facts in collect-only mode.
-/// Scan fetches are unmetered (read metering happened at [`plan_job`]),
-/// so the prepass never perturbs DFS byte counters — filtered and
-/// unfiltered runs stay byte-identical on every metered quantity except
-/// the shuffle itself. Must run *before* map fan-out; the sealed filters
-/// are immutable and safely probed from any number of worker threads.
-pub(crate) fn build_job_filters(
-    config: &EngineConfig,
-    job: &Job,
-    plan: &MapPlan,
-) -> Result<Option<JobFilters>> {
-    let Some(spec) = &job.filter else {
-        return Ok(None);
-    };
-    let bits_per_key = match config.shuffle_filter {
-        ShuffleFilterMode::Off => return Ok(None),
-        ShuffleFilterMode::Bloom { bits_per_key } => bits_per_key,
-        ShuffleFilterMode::Auto { bits_per_key } => {
-            if spec.auto_profitable != Some(true) {
-                return Ok(None);
-            }
-            bits_per_key
-        }
-    };
-    let mut span = gumbo_obs::span_with("filter:build", |f| {
-        f.str("job", &job.name);
-        f.u64("groups", spec.groups as u64);
-    });
-    let mut collector = FilterCollector::new(spec);
-    for task in &plan.tasks {
-        let facts = plan.task_facts(task)?;
-        for (index, fact) in &facts {
-            job.mapper
-                .map(fact, *index, &mut |k, v| collector.observe(&k, &v));
-        }
-    }
-    let filters = collector.seal(bits_per_key);
-    span.record(|f| {
-        f.u64("distinct_keys", filters.distinct_keys());
-        f.u64("filter_bytes", filters.filter_bytes());
-    });
-    Ok(Some(filters))
-}
-
-/// Emit one `filter:probe` span summarizing a finished map task's probe
-/// counters (task-local, so concurrent tasks never race on telemetry).
-fn record_probe_span(job: &Job, tally: &ProbeTally) {
-    let mut span = gumbo_obs::span_with("filter:probe", |f| f.str("job", &job.name));
-    span.record(|f| {
-        f.u64("probes", tally.probes);
-        f.u64("suppressed", tally.suppressed);
-        f.u64("false_positives", tally.false_positives);
-    });
-}
-
 /// What one map task produced: its emitted pairs in emission order, held
 /// as one columnar [`PairBatch`].
 pub(crate) struct BatchMapResult {
@@ -429,41 +352,16 @@ pub(crate) struct BatchMapResult {
 /// Run one map task: apply the mapper to every fact of the split, landing
 /// its output directly in a [`PairBatch`], and account bytes/records,
 /// charging key bytes once per distinct key within the task when packing
-/// is enabled (§5.1 (1)) — an index sort plus one linear scan. With
-/// `filters` present, each emitted pair is probed first (the **probe**
-/// stage of the filtered shuffle) and suppressed pairs never reach the
-/// batch, so map-output bytes/records are post-suppression.
-pub(crate) fn run_map_task_batch(
-    job: &Job,
-    facts: &[(u64, Fact)],
-    filters: Option<&JobFilters>,
-) -> BatchMapResult {
+/// is enabled (§5.1 (1)) — an index sort plus one linear scan.
+pub(crate) fn run_map_task_batch(job: &Job, facts: &[(u64, Fact)]) -> BatchMapResult {
     let mut span = gumbo_obs::span_with("map:task", |f| {
         f.str("job", &job.name);
         f.u64("facts", facts.len() as u64);
     });
     let mut batch = PairBatch::new();
-    let mut tally = ProbeTally::default();
-    match filters {
-        Some(f) => {
-            for (index, fact) in facts {
-                job.mapper.map(fact, *index, &mut |k, v| {
-                    if f.keep(&k, &v, &mut tally) {
-                        batch.push_pair(&k, &v);
-                    }
-                });
-            }
-        }
-        None => {
-            for (index, fact) in facts {
-                job.mapper
-                    .map(fact, *index, &mut |k, v| batch.push_pair(&k, &v));
-            }
-        }
-    }
-    if let Some(f) = filters {
-        record_probe_span(job, &tally);
-        f.absorb(tally);
+    for (index, fact) in facts {
+        job.mapper
+            .map(fact, *index, &mut |k, v| batch.push_pair(&k, &v));
     }
     let (output_bytes, records_out) = if job.config.packing {
         let order = batch.sort_indices();
@@ -576,7 +474,6 @@ pub struct ComputedJob {
     pub(crate) reducer_bytes: Vec<u64>,
     pub(crate) partition_outputs: Vec<BTreeMap<RelationName, Relation>>,
     pub(crate) spill: SpillStats,
-    pub(crate) filter: FilterStats,
 }
 
 /// Merge per-partition reduce outputs (in partition order), store every
@@ -596,7 +493,6 @@ pub fn commit_job(
         reducer_bytes,
         partition_outputs,
         spill,
-        filter,
     } = computed;
     let scale = config.scale.max(1);
     let consts = &config.constants;
@@ -628,7 +524,7 @@ pub fn commit_job(
         reducers,
         output: output_bytes,
     };
-    let base_map_cost: f64 = match config.model {
+    let map_cost: f64 = match config.model {
         CostModelKind::Gumbo => profile.partitions.iter().map(|p| consts.cost_map(p)).sum(),
         CostModelKind::Wang => {
             job_cost(CostModelKind::Wang, consts, &profile)
@@ -636,12 +532,6 @@ pub fn commit_job(
                 - consts.cost_red(profile.total_map_output(), reducers, output_bytes)
         }
     };
-    // The filter broadcast is communication like any other relation: its
-    // (scaled) bytes are priced with the transfer constant and charged to
-    // the map phase, preserving total = overhead + map + reduce.
-    let filter_bytes = ByteSize::bytes(filter.filter_bytes).scaled(scale);
-    let filter_cost = consts.transfer * filter_bytes.as_mb();
-    let map_cost = base_map_cost + filter_cost;
     let reduce_cost = consts.cost_red(profile.total_map_output(), reducers, output_bytes);
     let total_cost = consts.job_overhead + map_cost + reduce_cost;
 
@@ -649,15 +539,6 @@ pub fn commit_job(
     for p in &profile.partitions {
         let per_task = consts.cost_map(p) / p.mappers.max(1) as f64;
         map_task_durations.extend(std::iter::repeat_n(per_task, p.mappers));
-    }
-    // Every mapper downloads the broadcast filters, so the filter cost is
-    // spread uniformly over map tasks and durations keep summing (for the
-    // paper's model) to map_cost.
-    if filter_cost > 0.0 && !map_task_durations.is_empty() {
-        let per_task = filter_cost / map_task_durations.len() as f64;
-        for d in &mut map_task_durations {
-            *d += per_task;
-        }
     }
     // Distribute the (cost-model) reduce cost over tasks proportionally to
     // their actual byte loads — uniform when there is no data (or no
@@ -675,8 +556,6 @@ pub fn commit_job(
 
     static JOBS_COMMITTED: gumbo_obs::Counter = gumbo_obs::Counter::new("executor.jobs_committed");
     JOBS_COMMITTED.incr();
-    static FILTERED_OUT: gumbo_obs::Counter = gumbo_obs::Counter::new("shuffle.filtered_out");
-    FILTERED_OUT.add(filter.suppressed_messages);
 
     let estimated_cost = job.estimate.as_ref().map(|e| e.total_cost);
     // The calibration ledger: every estimated job's span ends with the
@@ -696,11 +575,6 @@ pub fn commit_job(
         if spill.spilled_bytes > 0 {
             f.u64("spilled_bytes", spill.spilled_bytes);
         }
-        if filter.filter_probes > 0 || filter.filter_bytes > 0 {
-            f.u64("filter_bytes", filter_bytes.as_bytes());
-            f.u64("suppressed_messages", filter.suppressed_messages);
-            f.u64("filter_false_positives", filter.filter_false_positives);
-        }
     });
 
     Ok(JobStats {
@@ -717,10 +591,6 @@ pub fn commit_job(
         spilled_disk_bytes: spill.spilled_disk_bytes,
         spill_files: spill.spill_files,
         spill_merge_passes: spill.merge_passes,
-        filter_bytes: filter_bytes.as_bytes(),
-        suppressed_messages: filter.suppressed_messages,
-        filter_probes: filter.filter_probes,
-        filter_false_positives: filter.filter_false_positives,
         estimated_cost,
     })
 }

@@ -73,7 +73,6 @@ pub mod parallel;
 pub mod profile;
 pub mod program;
 pub mod shuffle;
-pub mod shuffle_filter;
 
 pub use batch_shuffle::{BatchGroups, BatchPartition, PairBatch, TupleStore};
 pub use cluster::Cluster;
@@ -92,10 +91,6 @@ pub use parallel::ParallelExecutor;
 pub use profile::{InputPartition, JobProfile};
 pub use program::MrProgram;
 pub use shuffle::{MemBudget, MemoryBudget, ShuffleSpill, SpillStats};
-pub use shuffle_filter::{
-    filter_bytes_for, predicted_fp_rate_for, FilterSpec, FilterStats, ShuffleFilterMode,
-    SplitBlockBloom,
-};
 
 #[cfg(test)]
 mod proptests;

@@ -56,23 +56,6 @@ pub struct JobStats {
     pub spill_files: u64,
     /// Intermediate merge passes needed before the final streaming merge.
     pub spill_merge_passes: u64,
-    /// Scaled bytes of the Bloom-filter broadcast artifacts
-    /// ([`crate::shuffle_filter`]) this job published before its map
-    /// phase; 0 when the job ran unfiltered. Counted into
-    /// [`JobStats::communication_bytes`] — the filters travel over the
-    /// same network the shuffle does.
-    pub filter_bytes: u64,
-    /// Candidate `Assert`/`Req` messages the filtered shuffle dropped
-    /// because their keys cannot match. Deterministic: a pure function of
-    /// the data and the filter, identical across thread counts, schedulers
-    /// and memory budgets.
-    pub suppressed_messages: u64,
-    /// Candidate messages tested against a filter.
-    pub filter_probes: u64,
-    /// Filter passes whose key is absent from the other side's exact key
-    /// set — the messages filtering could have saved but (by Bloom
-    /// false-positive) did not.
-    pub filter_false_positives: u64,
     /// Planner-estimated total cost (`JobEstimate::total_cost`), when the
     /// job carried an estimate. The observed side is `total_cost`; the
     /// pair is the raw input of the feedback-calibration roadmap item.
@@ -87,25 +70,9 @@ impl JobStats {
         self.profile.total_input()
     }
 
-    /// Bytes shuffled map → reduce by this job, *plus* the bytes of any
-    /// broadcast filter artifacts — the filtered shuffle only wins when
-    /// the suppressed message bytes exceed the filters it shipped, and
-    /// this metric is where that trade settles.
+    /// Bytes shuffled map → reduce by this job.
     pub fn communication_bytes(&self) -> ByteSize {
-        self.profile.total_map_output() + ByteSize::bytes(self.filter_bytes)
-    }
-
-    /// Observed false-positive rate of this job's shuffle filters: false
-    /// positives over the probes that *should* have been suppressed
-    /// (false positives + true suppressions). `None` when the job ran
-    /// unfiltered or every probed key matched.
-    pub fn observed_fp_rate(&self) -> Option<f64> {
-        let misses = self.filter_false_positives + self.suppressed_messages;
-        if misses == 0 {
-            None
-        } else {
-            Some(self.filter_false_positives as f64 / misses as f64)
-        }
+        self.profile.total_map_output()
     }
 
     /// Bytes written to the DFS by this job.
@@ -240,38 +207,6 @@ impl ProgramStats {
         self.jobs.iter().map(|j| j.spill_merge_passes).sum()
     }
 
-    /// Total (scaled) bytes of broadcast filter artifacts across all jobs.
-    pub fn filter_bytes(&self) -> u64 {
-        self.jobs.iter().map(|j| j.filter_bytes).sum()
-    }
-
-    /// Total messages the filtered shuffle suppressed across all jobs.
-    pub fn suppressed_messages(&self) -> u64 {
-        self.jobs.iter().map(|j| j.suppressed_messages).sum()
-    }
-
-    /// Total filter probes across all jobs.
-    pub fn filter_probes(&self) -> u64 {
-        self.jobs.iter().map(|j| j.filter_probes).sum()
-    }
-
-    /// Total filter false positives across all jobs.
-    pub fn filter_false_positives(&self) -> u64 {
-        self.jobs.iter().map(|j| j.filter_false_positives).sum()
-    }
-
-    /// Program-wide observed filter false-positive rate (see
-    /// [`JobStats::observed_fp_rate`]); `None` when nothing was filtered
-    /// or every probed key matched.
-    pub fn observed_fp_rate(&self) -> Option<f64> {
-        let misses = self.filter_false_positives() + self.suppressed_messages();
-        if misses == 0 {
-            None
-        } else {
-            Some(self.filter_false_positives() as f64 / misses as f64)
-        }
-    }
-
     /// Mean observed/estimated cost ratio over the jobs that carried an
     /// estimate; `None` when no job did.
     pub fn mean_estimate_error(&self) -> Option<f64> {
@@ -344,18 +279,6 @@ impl fmt::Display for ProgramStats {
                     j.spilled_bytes, j.spilled_disk_bytes, j.spill_files, j.spill_merge_passes,
                 )?;
             }
-            if j.filter_bytes > 0 {
-                write!(
-                    f,
-                    ", filter {} suppressed {} msgs (fp {})",
-                    ByteSize::bytes(j.filter_bytes),
-                    j.suppressed_messages,
-                    match j.observed_fp_rate() {
-                        Some(rate) => format!("{rate:.4}"),
-                        None => "n/a".to_string(),
-                    },
-                )?;
-            }
             writeln!(f)?;
         }
         Ok(())
@@ -392,10 +315,6 @@ mod tests {
             spilled_disk_bytes: 0,
             spill_files: 0,
             spill_merge_passes: 0,
-            filter_bytes: 0,
-            suppressed_messages: 0,
-            filter_probes: 0,
-            filter_false_positives: 0,
             estimated_cost: None,
         }
     }

@@ -39,8 +39,8 @@ use gumbo_common::{Relation, RelationName, Result};
 
 use crate::batch_shuffle::BatchPartition;
 use crate::executor::{
-    build_job_filters, run_map_task_batch, run_reduce_stream, BatchMapResult, ComputedJob,
-    EngineConfig, Executor, MapPlan,
+    run_map_task_batch, run_reduce_stream, BatchMapResult, ComputedJob, EngineConfig, Executor,
+    MapPlan,
 };
 use crate::hash::partition_view;
 use crate::job::Job;
@@ -153,13 +153,10 @@ impl Executor for ParallelExecutor {
             self.effective_threads()
         };
 
-        // ---- filter build (optional): serial, before map fan-out --------
-        let filters = build_job_filters(&self.config, job, &plan)?;
         // ---- map phase: tasks fan out over the pool ---------------------
         // Planning (and its DFS read metering) happened on the caller's
         // thread; tasks fetch their facts from snapshot scans, so workers
-        // never touch the DFS. The sealed filters are immutable and probed
-        // from every worker.
+        // never touch the DFS.
         let map_span = gumbo_obs::span_with("map", |f| {
             f.str("job", &job.name);
             f.u64("tasks", plan.tasks.len() as u64);
@@ -167,7 +164,7 @@ impl Executor for ParallelExecutor {
         });
         let results: Vec<BatchMapResult> = parallel_for(plan.tasks.len(), workers, |i| {
             plan.task_facts(&plan.tasks[i])
-                .map(|facts| run_map_task_batch(job, &facts, filters.as_ref()))
+                .map(|facts| run_map_task_batch(job, &facts))
         })
         .into_iter()
         .collect::<Result<_>>()?;
@@ -241,7 +238,6 @@ impl Executor for ParallelExecutor {
             reducer_bytes,
             partition_outputs,
             spill: spill_stats,
-            filter: filters.map(|f| f.stats()).unwrap_or_default(),
         })
     }
 }
@@ -315,7 +311,6 @@ mod tests {
                 ..JobConfig::default()
             },
             estimate: None,
-            filter: None,
         }
     }
 
@@ -389,7 +384,6 @@ mod tests {
             reducer: Box::new(SemiJoinReducer),
             config: JobConfig::default(),
             estimate: None,
-            filter: None,
         }
     }
 
@@ -480,7 +474,6 @@ mod tests {
             reducer: Box::new(BadReducer),
             config: JobConfig::default(),
             estimate: None,
-            filter: None,
         };
         let d = dfs(50);
         let par = ParallelExecutor::with_threads(EngineConfig::unscaled(), 4);
@@ -561,7 +554,6 @@ mod tests {
             reducer: Box::new(BadReducer),
             config: JobConfig::default(),
             estimate: None,
-            filter: None,
         };
         let engine = one_worker(EngineConfig::unscaled());
         assert!(engine.execute_job(&dfs, &job, 0).is_err());
@@ -651,7 +643,6 @@ mod tests {
             reducer: Box::new(SemiJoinReducer2),
             config: JobConfig::default(),
             estimate: None,
-            filter: None,
         };
 
         struct SemiJoinMapper2;

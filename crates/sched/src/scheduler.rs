@@ -1,7 +1,9 @@
 //! The DAG scheduler: dependency-driven execution on a bounded worker
 //! pool over a shared [`Dfs`].
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
@@ -168,6 +170,10 @@ struct SchedState {
     remaining: usize,
     /// First failure; stops admission of further jobs.
     error: Option<GumboError>,
+    /// First job panic. Stops admission like `error`, and is re-raised
+    /// once every worker has stopped, so a panicking job can never leave
+    /// its peers waiting for a completion that will not come.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 impl SchedState {
@@ -409,6 +415,7 @@ impl DagScheduler {
             finished_ns: vec![None; dags.len()],
             remaining: total,
             error: None,
+            panic: None,
         });
         let work_available = Condvar::new();
         let started = Instant::now();
@@ -422,7 +429,7 @@ impl DagScheduler {
                         let gid = {
                             let mut st = state.lock().expect("unpoisoned scheduler state");
                             loop {
-                                if st.error.is_some() || st.remaining == 0 {
+                                if st.error.is_some() || st.panic.is_some() || st.remaining == 0 {
                                     return;
                                 }
                                 if let Some(gid) = st.claim_next(policy, &priority) {
@@ -452,7 +459,7 @@ impl DagScheduler {
                             f.str("job", &node.job.name);
                             f.u64("threads", threads as u64);
                         });
-                        let outcome = (|| {
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
                             // The whole claimed execution runs under one
                             // "job" span on this worker's lane, so the
                             // plan/phase/commit spans nest beneath the
@@ -468,12 +475,12 @@ impl DagScheduler {
                             let plan = plan_job(executor.config(), dfs, &node.job)?;
                             let computed = executor.run_phases_with(&node.job, plan, threads)?;
                             commit_job(executor.config(), dfs, &node.job, node.round, computed)
-                        })();
+                        }));
 
                         let mut st = state.lock().expect("unpoisoned scheduler state");
                         st.running[j.sub] -= 1;
                         match outcome {
-                            Ok(stats) => {
+                            Ok(Ok(stats)) => {
                                 gumbo_obs::event("sched:complete", |f| {
                                     f.str("tenant", tenants[j.sub]);
                                     f.str("job", &node.job.name);
@@ -498,8 +505,11 @@ impl DagScheduler {
                                     }
                                 }
                             }
-                            Err(e) => {
+                            Ok(Err(e)) => {
                                 st.error.get_or_insert(e);
+                            }
+                            Err(panic) => {
+                                st.panic.get_or_insert(panic);
                             }
                         }
                         drop(st);
@@ -510,6 +520,9 @@ impl DagScheduler {
         });
 
         let state = state.into_inner().expect("unpoisoned scheduler state");
+        if let Some(panic) = state.panic {
+            resume_unwind(panic);
+        }
         if let Some(e) = state.error {
             return Err(e);
         }
@@ -611,7 +624,6 @@ mod tests {
             reducer: Box::new(CopyTo(output.into())),
             config: JobConfig::default(),
             estimate: None,
-            filter: None,
         }
     }
 
@@ -678,7 +690,6 @@ mod tests {
             reducer: Box::new(Bad),
             config: JobConfig::default(),
             estimate: None,
-            filter: None,
         });
         let dfs = dfs_with(&["R"]);
         let err = DagScheduler::default()

@@ -119,6 +119,13 @@ impl ServiceClient {
         Err(last.unwrap_or_else(|| std::io::Error::other("no connection attempts made")))
     }
 
+    /// Bound how long any one read of a reply may block (`None` blocks
+    /// forever, the default). A timed-out read surfaces as
+    /// [`ServiceError::Io`].
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.reader.get_ref().set_read_timeout(timeout)
+    }
+
     fn send(&mut self, request: &Request) -> Result<(), ServiceError> {
         let mut line = request.to_line();
         line.push('\n');

@@ -350,7 +350,7 @@ pub fn relation_frames(relation: &Relation) -> Vec<Frame> {
 }
 
 /// Lower a [`gumbo_mr::ProgramStats`] to one JSON document: the paper's
-/// four metrics, the spill and shuffle-filter counters, the predicted
+/// four metrics, the spill counters, the predicted
 /// DAG net time, the per-job calibration ledger, and — for file-backed
 /// runs — the DFS block-cache counters. This is the single stats
 /// vocabulary: `gumbo-cli --stats-json` and the service's `stats` frame
@@ -378,14 +378,6 @@ pub fn stats_to_json(
                 ("spilled_disk_bytes", Json::Int(j.spilled_disk_bytes)),
                 ("spill_files", Json::Int(j.spill_files)),
                 ("spill_merge_passes", Json::Int(j.spill_merge_passes)),
-                ("filter_bytes", Json::Int(j.filter_bytes)),
-                ("suppressed_messages", Json::Int(j.suppressed_messages)),
-                ("filter_probes", Json::Int(j.filter_probes)),
-                (
-                    "filter_false_positives",
-                    Json::Int(j.filter_false_positives),
-                ),
-                ("observed_fp_rate", opt(j.observed_fp_rate())),
                 ("estimated_cost", opt(j.estimated_cost)),
                 ("estimate_error", opt(j.estimate_error())),
             ])
@@ -406,17 +398,6 @@ pub fn stats_to_json(
         ("spilled_disk_bytes", Json::Int(stats.spilled_disk_bytes())),
         ("spill_files", Json::Int(stats.spill_files())),
         ("spill_merge_passes", Json::Int(stats.spill_merge_passes())),
-        ("filter_bytes", Json::Int(stats.filter_bytes())),
-        (
-            "suppressed_messages",
-            Json::Int(stats.suppressed_messages()),
-        ),
-        ("filter_probes", Json::Int(stats.filter_probes())),
-        (
-            "filter_false_positives",
-            Json::Int(stats.filter_false_positives()),
-        ),
-        ("observed_fp_rate", opt(stats.observed_fp_rate())),
         ("mean_estimate_error", opt(stats.mean_estimate_error())),
         ("jobs", Json::Arr(jobs)),
     ];

@@ -26,8 +26,9 @@
 //! every reply, the DFS flushes, and the server exits with
 //! `accepted == completed` — zero lost work.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -35,8 +36,8 @@ use std::time::{Duration, Instant};
 
 use gumbo_common::Relation;
 use gumbo_core::GumboEngine;
-use gumbo_mr::Executor;
-use gumbo_sched::{AdmissionConfig, AdmissionQueue, SubmissionReport};
+use gumbo_mr::{Executor, ProgramStats};
+use gumbo_sched::{AdmissionConfig, AdmissionQueue, QueuedEntry, SubmissionReport};
 use gumbo_sgf::{parse_program, SgfQuery};
 use gumbo_storage::Dfs;
 
@@ -45,6 +46,11 @@ use crate::{
     drain_requested, SVC_ADMITTED, SVC_COMPLETED, SVC_CONNECTIONS, SVC_FRAMES, SVC_QUEUE_DEPTH,
     SVC_SUBMITTED,
 };
+
+/// Longest request line a connection may send, newline included. A
+/// longer line gets one `error` frame and the connection closes, so no
+/// client can grow a handler's buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Server sizing knobs.
 #[derive(Debug, Clone, Copy)]
@@ -272,45 +278,23 @@ fn dispatch_loop(shared: &Shared) {
             );
         });
         let started = Instant::now();
-        let result = shared
-            .engine
-            .eval()
-            .on(&*shared.runtime)
-            .run(&*shared.dfs, &entry.payload.query);
-        let completed_ns = gumbo_obs::now_ns();
-        let outcome = match result {
-            Ok(stats) => {
-                // Collect every output relation (final and intermediate
-                // Zs) for streaming, in query order.
-                let mut relations = Vec::new();
-                let mut failure = None;
-                for name in entry.payload.query.output_names() {
-                    match shared.dfs.peek(&name) {
-                        Ok(rel) => relations.push(rel),
-                        Err(e) => {
-                            failure = Some(e.to_string());
-                            break;
-                        }
-                    }
-                }
-                match failure {
-                    None => Ok(Outcome {
-                        report: SubmissionReport {
-                            tenant: entry.tenant.clone(),
-                            stats,
-                            wall_seconds: started.elapsed().as_secs_f64(),
-                            queued_ns: entry.queued_ns,
-                            admitted_ns: entry.admitted_ns,
-                            completed_ns,
-                        },
-                        estimated_cost: entry.estimated_cost,
-                        relations,
-                    }),
-                    Some(message) => Err(message),
-                }
-            }
-            Err(e) => Err(e.to_string()),
-        };
+        // A panicking evaluation must not take the dispatcher down with
+        // it: the client gets an `error` frame, the submission counts as
+        // completed, and the loop keeps admitting.
+        let outcome = catch_unwind(AssertUnwindSafe(|| evaluate(shared, &entry)))
+            .unwrap_or_else(|panic| Err(format!("internal error: {}", panic_message(&*panic))));
+        let outcome = outcome.map(|(stats, completed_ns, relations)| Outcome {
+            report: SubmissionReport {
+                tenant: entry.tenant.clone(),
+                stats,
+                wall_seconds: started.elapsed().as_secs_f64(),
+                queued_ns: entry.queued_ns,
+                admitted_ns: entry.admitted_ns,
+                completed_ns,
+            },
+            estimated_cost: entry.estimated_cost,
+            relations,
+        });
         gumbo_obs::event("svc:complete", |f| {
             f.str("tenant", &entry.tenant);
             f.bool("ok", outcome.is_ok());
@@ -321,6 +305,39 @@ fn dispatch_loop(shared: &Shared) {
         SVC_COMPLETED.incr();
         shared.completed.fetch_add(1, Ordering::SeqCst);
     }
+}
+
+/// Evaluate one admitted submission, then collect every output relation
+/// (final and intermediate Zs) for streaming, in query order. Also
+/// returns when the last job committed (monotonic ns, obs epoch).
+fn evaluate(
+    shared: &Shared,
+    entry: &QueuedEntry<Work>,
+) -> Result<(ProgramStats, u64, Vec<Arc<Relation>>), String> {
+    let query = &entry.payload.query;
+    let stats = shared
+        .engine
+        .eval()
+        .on(&*shared.runtime)
+        .run(&*shared.dfs, query)
+        .map_err(|e| e.to_string())?;
+    let completed_ns = gumbo_obs::now_ns();
+    let relations = query
+        .output_names()
+        .iter()
+        .map(|name| shared.dfs.peek(name))
+        .collect::<gumbo_common::Result<Vec<_>>>()
+        .map_err(|e| e.to_string())?;
+    Ok((stats, completed_ns, relations))
+}
+
+/// The message a panic was raised with, when it carried one.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("evaluation panicked")
 }
 
 /// Estimate a query's remaining work for admission: the estimation
@@ -347,15 +364,21 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
         line.clear();
-        // read_line may time out mid-line; partial bytes stay in `line`
-        // across retries, so requests are never torn.
-        let complete = loop {
-            match reader.read_line(&mut line) {
+        // read_until may time out mid-line; partial bytes stay in `line`
+        // across retries, so requests are never torn. Each read may take
+        // at most one byte past the cap, which marks the line too long.
+        loop {
+            let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+            match (&mut reader).take(room).read_until(b'\n', &mut line) {
                 Ok(0) => return,
-                Ok(_) => break true,
+                Ok(_) if line.len() > MAX_REQUEST_LINE => {
+                    refuse_long_line(reader, writer);
+                    return;
+                }
+                Ok(_) => break,
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     if shared.is_draining() && line.is_empty() {
                         // Idle connection during a drain: hang up so the
@@ -365,11 +388,18 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 }
                 Err(_) => return,
             }
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            let message = "request line is not UTF-8".to_string();
+            if write_frame(&mut writer, &Frame::Error { message }).is_err() {
+                return;
+            }
+            continue;
         };
-        if !complete || line.trim().is_empty() {
+        if text.trim().is_empty() {
             continue;
         }
-        match Request::parse(&line) {
+        match Request::parse(text) {
             Ok(Request::Ping) => {
                 if write_frame(&mut writer, &Frame::Pong).is_err() {
                     return;
@@ -393,6 +423,28 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                     return;
                 }
             }
+        }
+    }
+}
+
+/// Answer an over-long request line: one `error` frame, then close. The
+/// unread rest of the line is discarded for a moment first, because
+/// closing a socket with unread input resets the connection, and a reset
+/// can overtake the error frame before the client reads it.
+fn refuse_long_line(mut reader: BufReader<TcpStream>, mut writer: TcpStream) {
+    let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+    if write_frame(&mut writer, &Frame::Error { message }).is_err() {
+        return;
+    }
+    let _ = writer.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let mut sink = [0u8; 8192];
+    while Instant::now() < deadline {
+        match reader.read(&mut sink) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
+            Err(_) => return,
         }
     }
 }

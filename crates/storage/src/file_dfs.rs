@@ -30,8 +30,8 @@
 //! The `MANIFEST` is a versioned header line plus one tab-separated line
 //! per live relation (`name, segment file, arity, tuples, logical
 //! bytes`); it is rewritten to a temp file, fsynced and renamed on every
-//! commit, so a crash leaves either the old or the new file set — never
-//! half a state.
+//! commit, after the segment it newly references has been fsynced, so a
+//! crash leaves either the old or the new file set — never half a state.
 //!
 //! # Block cache
 //!
@@ -630,6 +630,12 @@ impl FileDfs {
             writer.push(&buf)?;
         }
         writer.finish()?;
+        // The manifest that will reference this segment is fsynced before
+        // it is published, so the segment must reach disk first: a torn
+        // segment behind a durable manifest would fail every later open.
+        File::open(&path)
+            .and_then(|f| f.sync_all())
+            .map_err(|e| storage_err("syncing DFS segment", e))?;
         let mut segment = Segment::open(
             &self.root,
             seg_id,
@@ -778,9 +784,8 @@ impl Dfs for FileDfs {
     }
 
     fn flush(&self) -> Result<()> {
-        // Segments are flushed at store time and the manifest is fsynced
-        // on every publication; sync the directory so the renames are
-        // durable too.
+        // Segments and the manifest are fsynced on every publication;
+        // sync the directory so the renames are durable too.
         File::open(&self.root)
             .and_then(|d| d.sync_all())
             .map_err(|e| storage_err("syncing DFS root", e))

@@ -36,7 +36,6 @@
 //!           [--scheduler rounds|dag] [--max-jobs N]
 //!           [--placement fifo|sjf|cp] [--cores N]
 //!           [--mem-budget BYTES|unlimited] [--spill-compress]
-//!           [--shuffle-filter off|bloom[:BITS]|auto[:BITS]]
 //!           [--dfs sim|file:PATH] [--dfs-cache BYTES]
 //!           [--trace PATH] [--trace-format chrome|jsonl]
 //!           [--metrics-dump] [--stats-json PATH]
@@ -72,12 +71,6 @@
 //! `shuffle memory:` summary line (spilled bytes — raw and on-disk —
 //! run files, merge passes, peak) is printed after the run.
 //! `--spill-compress` RLE-block-compresses the run files on disk.
-//! `--shuffle-filter` engages the Bloom-filtered semijoin shuffle:
-//! `bloom[:BITS]` filters every MSJ job (BITS bits per key, default 10),
-//! `auto[:BITS]` filters only jobs the planner predicts save more bytes
-//! than the filter broadcast costs. Answers are byte-identical to `off`;
-//! a `shuffle filter:` summary line reports suppressed messages, filter
-//! bytes and the observed false-positive rate.
 //! Results are byte-identical to an unlimited run; the CLI exits nonzero
 //! if the tracked peak ever exceeded the budget — printing the
 //! shuffle-memory summary *before* exiting, so the evidence of the
@@ -131,7 +124,6 @@ struct Args {
     cores: usize,
     mem_budget: gumbo::mr::MemBudget,
     spill_compress: bool,
-    shuffle_filter: gumbo::mr::ShuffleFilterMode,
     dfs: DfsSpec,
     dfs_cache: Option<u64>,
     trace: Option<PathBuf>,
@@ -151,7 +143,6 @@ const USAGE: &str = "usage: gumbo-cli [serve|query|shutdown] ... (see --help per
                      [--scheduler rounds|dag] [--max-jobs N] \
                      [--placement fifo|sjf|cp] [--cores N] \
                      [--mem-budget BYTES|unlimited] [--spill-compress] \
-                     [--shuffle-filter off|bloom[:BITS]|auto[:BITS]] \
                      [--dfs sim|file:PATH] [--dfs-cache BYTES] \
                      [--trace PATH] [--trace-format chrome|jsonl] \
                      [--metrics-dump] [--stats-json PATH] \
@@ -171,7 +162,6 @@ fn parse_args() -> Result<Args, String> {
         cores: 0,
         mem_budget: gumbo::mr::MemBudget::UNLIMITED,
         spill_compress: false,
-        shuffle_filter: gumbo::mr::ShuffleFilterMode::Off,
         dfs: DfsSpec::Sim,
         dfs_cache: None,
         trace: None,
@@ -232,13 +222,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--cores: {e}"))?
             }
             "--spill-compress" => args.spill_compress = true,
-            "--shuffle-filter" => {
-                let spec = need(&mut i, &argv)?;
-                args.shuffle_filter =
-                    gumbo::mr::ShuffleFilterMode::parse(&spec).ok_or_else(|| {
-                        format!("--shuffle-filter: off|bloom[:BITS]|auto[:BITS], got {spec}")
-                    })?;
-            }
             "--mem-budget" => {
                 let spec = need(&mut i, &argv)?;
                 args.mem_budget = gumbo::mr::MemBudget::parse(&spec).ok_or_else(|| {
@@ -361,7 +344,6 @@ fn options_for(args: &Args) -> Result<EvalOptions, String> {
     }
     let budget = args.mem_budget.compressed(args.spill_compress);
     options.mem_budget = budget;
-    options.shuffle_filter = args.shuffle_filter;
     if args.scheduler != "dag"
         && (args.placement != gumbo::sched::PlacementPolicy::Fifo || args.cores != 0)
     {
@@ -577,19 +559,6 @@ fn run(args: Args) -> Result<(), String> {
         stats.spill_merge_passes(),
     );
     budget_check(budget.peak(), budget.limit())?;
-    if args.shuffle_filter != gumbo::mr::ShuffleFilterMode::Off {
-        let fp = stats
-            .observed_fp_rate()
-            .map_or("n/a".to_string(), |r| format!("{r:.4}"));
-        println!(
-            "shuffle filter: mode={} filter_bytes={} suppressed_messages={} probes={} false_positives={} observed_fp_rate={fp}",
-            args.shuffle_filter.label(),
-            stats.filter_bytes(),
-            stats.suppressed_messages(),
-            stats.filter_probes(),
-            stats.filter_false_positives(),
-        );
-    }
     let cache = if matches!(args.dfs, DfsSpec::File(_)) {
         let cache = dfs.cache_stats();
         println!(

@@ -77,8 +77,6 @@ const KNOWN_SPANS: &[&str] = &[
     "plan",
     "map",
     "map:task",
-    "filter:build",
-    "filter:probe",
     "shuffle:flush",
     "reduce",
     "reduce:task",
@@ -216,36 +214,22 @@ mod tests {
     }
 
     #[test]
-    fn chrome_accepts_filter_spans() {
-        let text = format!(
-            "[{},{},{},{},{},{}]",
-            ev("B", "job"),
-            ev("B", "filter:build"),
-            ev("E", "filter:build"),
-            ev("B", "filter:probe"),
-            ev("E", "filter:probe"),
-            ev("E", "job"),
-        );
-        assert!(check_chrome(&text).is_ok());
-    }
-
-    #[test]
     fn chrome_rejects_unknown_span_names() {
-        let text = format!("[{},{}]", ev("B", "filter:warp"), ev("E", "filter:warp"));
+        let text = format!("[{},{}]", ev("B", "map:warp"), ev("E", "map:warp"));
         let err = check_chrome(&text).unwrap_err();
         assert!(err.contains("unknown span name"), "{err}");
     }
 
     #[test]
     fn chrome_rejects_span_name_as_instant() {
-        let err = check_chrome(&format!("[{}]", ev("i", "filter:build"))).unwrap_err();
+        let err = check_chrome(&format!("[{}]", ev("i", "map:task"))).unwrap_err();
         assert!(err.contains("unknown instant name"), "{err}");
     }
 
     #[test]
     fn jsonl_validates_names_too() {
-        let good = r#"{"ts_ns":1,"lane":1,"ph":"B","name":"filter:build"}
-{"ts_ns":2,"lane":1,"ph":"E","name":"filter:build"}"#;
+        let good = r#"{"ts_ns":1,"lane":1,"ph":"B","name":"shuffle:flush"}
+{"ts_ns":2,"lane":1,"ph":"E","name":"shuffle:flush"}"#;
         assert!(check_jsonl(good).is_ok());
         let bad = r#"{"ts_ns":1,"lane":1,"ph":"B","name":"mystery"}"#;
         assert!(check_jsonl(bad).unwrap_err().contains("unknown span name"));

@@ -113,7 +113,6 @@ fn value_order_within_groups_is_deterministic_across_thread_counts() {
         reducer: Box::new(OrderSensitiveReducer),
         config: JobConfig::default(),
         estimate: None,
-        filter: None,
     };
     let mk_dfs = || {
         let mut db = Database::new();

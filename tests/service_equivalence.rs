@@ -5,15 +5,20 @@
 //!
 //! Also covered here: the drain invariant (a shutdown mid-workload
 //! loses zero accepted submissions), restart durability for a
-//! file-backed service, and the per-submission timestamp chain
-//! (`queued_ns <= admitted_ns <= completed_ns`).
+//! file-backed service, the per-submission timestamp chain
+//! (`queued_ns <= admitted_ns <= completed_ns`), and hostile or failing
+//! work: an over-long request line and a panicking evaluation each cost
+//! one `error` frame, never the server.
 
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gumbo::common::RelationName;
 use gumbo::datagen::queries;
 use gumbo::prelude::*;
+use gumbo::service::Frame;
 
 const TUPLES: usize = 150;
 const SEED: u64 = 7;
@@ -303,4 +308,152 @@ fn protocol_errors_and_liveness() {
     let summary = handle.join();
     assert_eq!(summary.accepted, 0);
     assert_eq!(summary.completed, 0);
+}
+
+/// A request line past the cap (2 MiB, no newline) gets one `error`
+/// frame and its connection closes; a second connection is still served,
+/// and the drain accounts for every accepted submission.
+#[test]
+fn over_long_request_line_is_refused() {
+    // 2 MiB: twice the cap.
+    const LINE: usize = 2 * gumbo::service::server::MAX_REQUEST_LINE;
+    let workload = queries::a1();
+    let db = workload.spec.clone().with_tuples(50).database(SEED);
+    let want = direct_answers(&db, &workload.query);
+    let handle = start_server(Arc::new(SimDfs::from_database(&db)), ServeConfig::default());
+
+    let mut hostile = std::net::TcpStream::connect(handle.addr()).unwrap();
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // The server may stop reading once the cap is passed; what matters is
+    // the frame it answers with.
+    let _ = hostile.write_all(&vec![b'x'; LINE]);
+    let mut reader = BufReader::new(hostile);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    match Frame::parse(&line).unwrap() {
+        Frame::Error { message } => assert!(message.contains("exceeds"), "{message}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).unwrap(),
+        0,
+        "connection must close after the refusal, got {line:?}"
+    );
+    drop(reader);
+
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    let reply = client
+        .query("polite", None, &workload.query.to_string())
+        .unwrap();
+    assert_same_relations("after refusal", &reply.relations, &want);
+    drop(client);
+
+    handle.shutdown();
+    let summary = handle.join();
+    assert_eq!(summary.connections, 2);
+    assert_eq!((summary.accepted, summary.completed), (1, 1));
+}
+
+/// A [`SimDfs`] that panics when asked to store one named relation: a
+/// stand-in for any bug that panics inside an evaluation.
+#[derive(Debug)]
+struct PanicOnStore {
+    inner: SimDfs,
+    poisoned: &'static str,
+}
+
+impl Dfs for PanicOnStore {
+    fn backend(&self) -> &'static str {
+        Dfs::backend(&self.inner)
+    }
+    fn store(&self, relation: Relation) -> Result<ByteSize> {
+        if relation.name().as_str() == self.poisoned {
+            panic!("refusing to store {}", self.poisoned);
+        }
+        Dfs::store(&self.inner, relation)
+    }
+    fn read(&self, name: &RelationName) -> Result<Arc<Relation>> {
+        Dfs::read(&self.inner, name)
+    }
+    fn peek(&self, name: &RelationName) -> Result<Arc<Relation>> {
+        Dfs::peek(&self.inner, name)
+    }
+    fn scan(&self, name: &RelationName) -> Result<RelationScan> {
+        Dfs::scan(&self.inner, name)
+    }
+    fn file_bytes(&self, name: &RelationName) -> Result<ByteSize> {
+        Dfs::file_bytes(&self.inner, name)
+    }
+    fn exists(&self, name: &RelationName) -> bool {
+        Dfs::exists(&self.inner, name)
+    }
+    fn delete(&self, name: &RelationName) -> Result<bool> {
+        Dfs::delete(&self.inner, name)
+    }
+    fn file_names(&self) -> Vec<RelationName> {
+        Dfs::file_names(&self.inner)
+    }
+    fn bytes_read(&self) -> ByteSize {
+        Dfs::bytes_read(&self.inner)
+    }
+    fn bytes_written(&self) -> ByteSize {
+        Dfs::bytes_written(&self.inner)
+    }
+    fn reset_counters(&self) {
+        Dfs::reset_counters(&self.inner)
+    }
+}
+
+/// A panicking evaluation costs its client one `error` frame. The lone
+/// dispatcher survives to answer the next query correctly, and the
+/// drain still reports `accepted == completed`. The doomed program has
+/// two jobs, so the scheduler's other worker is waiting on the one that
+/// panics.
+#[test]
+fn panicking_job_gets_an_error_frame_and_the_dispatcher_survives() {
+    let workload = queries::a1();
+    let db = workload.spec.clone().with_tuples(50).database(SEED);
+    let want = direct_answers(&db, &workload.query);
+    let dfs: Arc<dyn Dfs> = Arc::new(PanicOnStore {
+        inner: SimDfs::from_database(&db),
+        poisoned: "Boom",
+    });
+    let handle = start_server(
+        dfs,
+        ServeConfig {
+            max_in_flight: 1,
+            ..ServeConfig::default()
+        },
+    );
+    // Read timeouts turn a dead dispatcher into a failure, not a hang.
+    let timeout = Some(Duration::from_secs(60));
+
+    let mut doomed = ServiceClient::connect(handle.addr()).unwrap();
+    doomed.set_read_timeout(timeout).unwrap();
+    let err = doomed
+        .query(
+            "doomed",
+            None,
+            "Boom := SELECT (x, y, z, w) FROM R(x, y, z, w) WHERE S(x) AND NOT T(y);",
+        )
+        .unwrap_err();
+    assert!(
+        matches!(err, ServiceError::Remote(ref m) if m.contains("refusing to store Boom")),
+        "expected the panic as a remote error, got {err}"
+    );
+
+    let mut next = ServiceClient::connect(handle.addr()).unwrap();
+    next.set_read_timeout(timeout).unwrap();
+    let reply = next
+        .query("next", None, &workload.query.to_string())
+        .unwrap_or_else(|e| panic!("query after the panic: {e}"));
+    assert_same_relations("after the panic", &reply.relations, &want);
+    drop((doomed, next));
+
+    handle.shutdown();
+    let summary = handle.join();
+    assert_eq!((summary.accepted, summary.completed), (2, 2));
 }
