@@ -1,7 +1,7 @@
 //! Experiment driver: regenerate the paper's tables and figures.
 //!
 //! ```text
-//! experiments <all|fig3|fig4|fig5|fig7a|fig7b|fig7c|fig8|table3|costmodel|optimality|ablation|speedup|dagsched|spill|dfs|placement>
+//! experiments <all|fig3|fig4|fig5|fig7a|fig7b|fig7c|fig8|table3|costmodel|optimality|ablation|speedup|spill|dfs>
 //!             [--tuples N] [--scale N] [--nodes N] [--seed N] [--no-verify]
 //!             [--executor parallel|parallel:N]
 //!             [--trace PATH] [--trace-format chrome|jsonl] [--metrics-dump]
@@ -112,10 +112,8 @@ fn main() {
         "ablation" => experiments::ablation(&cfg),
         "structures" => experiments::structures(),
         "speedup" => experiments::speedup(&cfg),
-        "dagsched" => experiments::dagsched(&cfg),
         "spill" => experiments::spill(&cfg),
         "dfs" => experiments::dfs(&cfg),
-        "placement" => experiments::placement(&cfg),
         other => {
             eprintln!("unknown experiment {other}");
             std::process::exit(2);

@@ -865,311 +865,6 @@ pub fn dfs(cfg: &RunConfig) -> Result<()> {
     Ok(())
 }
 
-/// DAG scheduler vs round barrier: real wall-clock on multi-tenant
-/// workloads of independent SGF queries.
-///
-/// Every client submits an A3-shaped query over its own renamed copy of
-/// the relations, so the workload is embarrassingly schedulable — yet the
-/// round-barrier path runs the clients' jobs strictly one after another,
-/// while the DAG scheduler overlaps up to `max_concurrent_jobs` of them.
-/// Both paths produce byte-identical DFS contents and identical per-job
-/// statistics (asserted on every run); only the wall clock differs. Two
-/// sweeps are reported and written to `BENCH_dagsched.json`: pool size at
-/// a fixed client count, and client count at a fixed pool.
-pub fn dagsched(cfg: &RunConfig) -> Result<()> {
-    use crate::report::{write_bench_json, Json};
-    use gumbo_core::{EvalOptions, Grouping, GumboEngine};
-    use gumbo_datagen::DataSpec;
-    use gumbo_sched::{DagScheduler, SchedulerConfig, Submission};
-    use gumbo_sgf::SgfQuery;
-    use std::time::Instant;
-
-    print_header("DAG scheduler — wall-clock, dependency-driven vs round barrier");
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "available hardware parallelism: {hw} core(s); {} guard tuples per client",
-        cfg.tuples
-    );
-
-    let engine_cfg = gumbo_mr::EngineConfig {
-        scale: cfg.scale,
-        cluster: gumbo_mr::Cluster::with_nodes(cfg.nodes),
-        ..gumbo_mr::EngineConfig::default()
-    };
-    // MSJ → EVAL structure (no 1-ROUND fusion): each client's program has
-    // a real intra-client dependency on top of the cross-client overlap.
-    let engine = GumboEngine::new(
-        engine_cfg,
-        EvalOptions {
-            grouping: Grouping::Greedy,
-            enable_one_round: false,
-            ..EvalOptions::default()
-        },
-    );
-
-    // One independent query per client over per-client relation names.
-    let client_query = |i: usize| -> SgfQuery {
-        gumbo_sgf::parse_program(&format!(
-            "Out{i} := SELECT (x, y, z, w) FROM R{i}(x, y, z, w) \
-             WHERE S{i}(x) AND T{i}(x) AND U{i}(x) AND V{i}(x);"
-        ))
-        .expect("client query parses")
-    };
-    let client_database = |i: usize| -> gumbo_common::Database {
-        let guard = format!("R{i}");
-        let conds = [
-            format!("S{i}"),
-            format!("T{i}"),
-            format!("U{i}"),
-            format!("V{i}"),
-        ];
-        let cond_refs: Vec<(&str, usize)> = conds.iter().map(|c| (c.as_str(), 1)).collect();
-        DataSpec::new(&[(guard.as_str(), 4)], &cond_refs)
-            .with_tuples(cfg.tuples)
-            .with_selectivity(cfg.selectivity)
-            .database(cfg.seed + i as u64)
-    };
-    let build_programs = |queries: &[SgfQuery], dfs: &SimDfs| -> Result<Vec<gumbo_mr::MrProgram>> {
-        queries
-            .iter()
-            .map(|q| {
-                let ctx = QueryContext::new(q.queries().to_vec())?;
-                let est = Estimator::new(
-                    dfs,
-                    cfg.scale,
-                    gumbo_mr::CostConstants::default(),
-                    CostModelKind::Gumbo,
-                    64,
-                    cfg.seed,
-                );
-                engine.plan_group(&est, &ctx)?.build_program(&ctx)
-            })
-            .collect()
-    };
-
-    // One measured comparison: `clients` independent queries, round
-    // barrier vs DAG pool of `max_jobs`. Returns (rounds s, dag s, jobs).
-    let run_pair = |clients: usize, max_jobs: usize| -> Result<(f64, f64, usize)> {
-        let queries: Vec<SgfQuery> = (0..clients).map(client_query).collect();
-        let mut combined = gumbo_common::Database::new();
-        for i in 0..clients {
-            for rel in client_database(i).relations() {
-                combined.add_relation(rel.clone());
-            }
-        }
-        // Round-barrier path: client programs run back to back, each with
-        // a barrier after every round.
-        let executor = cfg.executor.build(engine_cfg);
-        let dfs_rounds = SimDfs::from_database(&combined);
-        let programs = build_programs(&queries, &dfs_rounds)?;
-        let start = Instant::now();
-        let mut rounds_stats = Vec::with_capacity(clients);
-        for program in &programs {
-            rounds_stats.push(executor.execute(&dfs_rounds, program)?);
-        }
-        let rounds_wall = start.elapsed().as_secs_f64();
-
-        // DAG path: all clients admitted at once, jobs start the moment
-        // their inputs are materialized. The per-job executor is resized
-        // through the scheduler config (parallelism comes from running
-        // jobs concurrently, not from per-job worker pools).
-        let scheduler = DagScheduler::new(SchedulerConfig {
-            max_concurrent_jobs: max_jobs,
-            ..SchedulerConfig::default()
-        });
-        let dag_executor = scheduler
-            .config
-            .executor_kind(cfg.executor)
-            .build(engine_cfg);
-        let dfs_dag = SimDfs::from_database(&combined);
-        let programs = build_programs(&queries, &dfs_dag)?;
-        let submissions: Vec<Submission> = programs
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| Submission::new(format!("client{i}"), p))
-            .collect();
-        let start = Instant::now();
-        let reports = scheduler.execute_many(&*dag_executor, &dfs_dag, &submissions)?;
-        let dag_wall = start.elapsed().as_secs_f64();
-
-        // Equivalence: byte-identical DFS contents, identical per-job and
-        // per-round statistics — the scheduler may only move wall clock.
-        gumbo_sched::assert_identical_dfs("dagsched", &dfs_rounds, &dfs_dag);
-        let mut jobs = 0;
-        for (barrier, report) in rounds_stats.iter().zip(&reports) {
-            gumbo_sched::assert_identical_stats(&report.tenant, barrier, &report.stats);
-            jobs += report.stats.num_jobs();
-        }
-        Ok((rounds_wall, dag_wall, jobs))
-    };
-
-    println!(
-        "{:<22} {:>8} {:>9} {:>6} {:>11} {:>11} {:>9}",
-        "sweep", "clients", "max-jobs", "jobs", "rounds(s)", "dag(s)", "speedup"
-    );
-    let mut rows: Vec<Json> = Vec::new();
-    let mut measure = |sweep: &str, clients: usize, max_jobs: usize| -> Result<()> {
-        let (rounds_wall, dag_wall, jobs) = run_pair(clients, max_jobs)?;
-        let speedup = rounds_wall / dag_wall.max(1e-12);
-        println!(
-            "{sweep:<22} {clients:>8} {max_jobs:>9} {jobs:>6} {rounds_wall:>11.3} {dag_wall:>11.3} {speedup:>8.2}x"
-        );
-        rows.push(Json::obj([
-            ("sweep", Json::Str(sweep.into())),
-            ("clients", Json::Int(clients as u64)),
-            ("max_jobs", Json::Int(max_jobs as u64)),
-            ("jobs", Json::Int(jobs as u64)),
-            ("rounds_wall_s", Json::Num(rounds_wall)),
-            ("dag_wall_s", Json::Num(dag_wall)),
-            ("speedup", Json::Num(speedup)),
-        ]));
-        Ok(())
-    };
-    for max_jobs in [1usize, 2, 4, 8] {
-        measure("pool @ 8 clients", 8, max_jobs)?;
-    }
-    for clients in [2usize, 4, 16] {
-        measure("clients @ 4-job pool", clients, 4)?;
-    }
-
-    let report = Json::obj([
-        ("experiment", Json::Str("dagsched".into())),
-        ("tuples_per_client", Json::Int(cfg.tuples as u64)),
-        ("scale", Json::Int(cfg.scale)),
-        ("nodes", Json::Int(cfg.nodes as u64)),
-        ("executor", Json::Str(cfg.executor.label())),
-        ("hardware_threads", Json::Int(hw as u64)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    write_bench_json("dagsched", &report).map_err(|e| {
-        gumbo_common::GumboError::Storage(format!("writing BENCH_dagsched.json: {e}"))
-    })?;
-    Ok(())
-}
-
-/// Placement policies × pool sizes over the datagen presets.
-///
-/// For every preset (A1–A5, B1/B2, C1–C4) the same database is evaluated
-/// once on the round-barrier path (the reference) and then under the DAG
-/// scheduler for each placement policy (`fifo`, `sjf`, `cp`) at each
-/// pool size. Every scheduled run is asserted byte-identical to the
-/// reference — placement may only move the wall clock. The recorded rows
-/// (real wall, per-round net time, and the estimation layer's predicted
-/// DAG net time) go to `BENCH_placement.json`.
-pub fn placement(cfg: &RunConfig) -> Result<()> {
-    use crate::report::{write_bench_json, Json};
-    use gumbo_core::{EvalOptions, GumboEngine};
-    use gumbo_sched::{PlacementPolicy, SchedulerConfig};
-    use std::time::Instant;
-
-    print_header("Placement policies — fifo vs sjf vs cp × pool sizes, all presets");
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "{} guard tuples; executor {}; {hw} hardware thread(s)",
-        cfg.tuples,
-        cfg.executor.label()
-    );
-
-    let mut presets = vec![
-        queries::a1(),
-        queries::a2(),
-        queries::a3(),
-        queries::a4(),
-        queries::a5(),
-        queries::b1(),
-        queries::b2(),
-    ];
-    presets.extend(queries::figure6());
-
-    let engine_cfg = gumbo_mr::EngineConfig {
-        scale: cfg.scale,
-        cluster: gumbo_mr::Cluster::with_nodes(cfg.nodes),
-        ..gumbo_mr::EngineConfig::default()
-    };
-    let pools = [1usize, 2, 4];
-
-    println!(
-        "{:<8} {:<6} {:>5} {:>10} {:>12} {:>14} {:>6}",
-        "preset", "policy", "pool", "wall (s)", "net (s)", "predicted (s)", "jobs"
-    );
-    let mut rows: Vec<Json> = Vec::new();
-    for w in &presets {
-        let db = w.spec.clone().with_tuples(cfg.tuples).database(cfg.seed);
-
-        // Round-barrier reference: the answers every policy must match.
-        let reference =
-            GumboEngine::with_executor(engine_cfg, cfg.executor, EvalOptions::default());
-        let dfs_ref = SimDfs::from_database(&db);
-        let stats_ref = reference.evaluate(&dfs_ref, &w.query)?;
-
-        for policy in PlacementPolicy::ALL {
-            for pool in pools {
-                let engine = GumboEngine::with_executor(
-                    engine_cfg,
-                    cfg.executor,
-                    EvalOptions {
-                        scheduler: Some(SchedulerConfig {
-                            max_concurrent_jobs: pool,
-                            threads_per_job: 0,
-                            placement: policy,
-                            ..SchedulerConfig::default()
-                        }),
-                        ..EvalOptions::default()
-                    },
-                );
-                let dfs = SimDfs::from_database(&db);
-                let start = Instant::now();
-                let stats = engine.evaluate(&dfs, &w.query)?;
-                let wall = start.elapsed().as_secs_f64();
-
-                let label = format!("{} {} x{pool}", w.name, policy.label());
-                gumbo_sched::assert_identical_dfs(&label, &dfs_ref, &dfs);
-                gumbo_sched::assert_identical_stats(&label, &stats_ref, &stats);
-                let predicted = stats
-                    .predicted_net_time
-                    .expect("scheduled runs report a predicted DAG net time");
-
-                println!(
-                    "{:<8} {:<6} {:>5} {wall:>10.3} {:>12.1} {predicted:>14.1} {:>6}",
-                    w.name,
-                    policy.label(),
-                    pool,
-                    stats.net_time(),
-                    stats.num_jobs(),
-                );
-                rows.push(Json::obj([
-                    ("preset", Json::Str(w.name.clone())),
-                    ("policy", Json::Str(policy.label().into())),
-                    ("pool", Json::Int(pool as u64)),
-                    ("wall_s", Json::Num(wall)),
-                    ("net_s", Json::Num(stats.net_time())),
-                    ("predicted_net_s", Json::Num(predicted)),
-                    ("jobs", Json::Int(stats.num_jobs() as u64)),
-                    ("rounds", Json::Int(stats.num_rounds() as u64)),
-                ]));
-            }
-        }
-    }
-
-    let report = Json::obj([
-        ("experiment", Json::Str("placement".into())),
-        ("tuples", Json::Int(cfg.tuples as u64)),
-        ("scale", Json::Int(cfg.scale)),
-        ("nodes", Json::Int(cfg.nodes as u64)),
-        ("executor", Json::Str(cfg.executor.label())),
-        ("hardware_threads", Json::Int(hw as u64)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    write_bench_json("placement", &report).map_err(|e| {
-        gumbo_common::GumboError::Storage(format!("writing BENCH_placement.json: {e}"))
-    })?;
-    Ok(())
-}
-
 /// Run everything.
 pub fn all(cfg: &RunConfig) -> Result<()> {
     fig3(cfg)?;

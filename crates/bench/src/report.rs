@@ -1,6 +1,6 @@
 //! Machine-readable benchmark reports.
 //!
-//! Perf-trajectory experiments (`speedup`, `dagsched`) emit a
+//! Perf-trajectory experiments (`speedup`, `spill`, `dfs`) emit a
 //! `BENCH_<name>.json` next to the working directory so successive PRs
 //! can be compared mechanically. The offline build has no serde; the
 //! JSON value model lives in [`gumbo_obs::json`] (shared with the trace

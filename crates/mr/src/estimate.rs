@@ -9,23 +9,19 @@
 //! prices — Eq. 2 for the per-partition `cost_gumbo` model, Eq. 3 for
 //! the aggregated `cost_wang` model of Wang & Chan), attached to each
 //! [`crate::Job`], and carried through [`crate::MrProgram::into_dag`] so
-//! every DAG node is cost-annotated. The scheduler in `gumbo-sched` then
-//! uses the annotations for
-//!
-//! * **placement** — picking which ready job to run next
-//!   (shortest-job-first on [`JobEstimate::total_cost`], or
-//!   critical-path on [`crate::JobDag::critical_paths`]);
-//! * **thread sizing** — [`JobEstimate::suggested_parallelism`] bounds a
-//!   job's worker pool under a total-core budget;
-//! * **prediction** — [`list_schedule_makespan`] simulates list
-//!   scheduling of the annotated DAG under `max_concurrent_jobs` slots,
-//!   yielding the predicted DAG net time reported in
-//!   [`crate::ProgramStats::predicted_net_time`].
+//! every DAG node is cost-annotated. The scheduler in `gumbo-sched` uses
+//! [`JobEstimate::suggested_parallelism`] to bound a job's worker pool
+//! under a total-core budget. Separately, [`list_schedule_finish_times`]
+//! simulates FIFO list scheduling of a DAG under `max_concurrent_jobs`
+//! slots; fed each job's metered duration, it yields the predicted DAG
+//! net time reported in [`crate::ProgramStats::predicted_net_time`].
 //!
 //! The estimate's cost decomposition (`map_cost` / `reduce_cost` /
 //! `total_cost = cost_h + map + reduce`) mirrors exactly the measured
 //! decomposition in [`crate::JobStats`], so estimated and observed jobs
 //! are directly comparable — the planner-accuracy story of §5.2.
+
+use std::collections::BTreeSet;
 
 use gumbo_common::ByteSize;
 
@@ -41,8 +37,7 @@ pub struct JobEstimate {
     pub map_cost: f64,
     /// Estimated reduce-phase cost (`cost_red(M, K)`).
     pub reduce_cost: f64,
-    /// Estimated full job cost: `cost_h + map_cost + reduce_cost` — the
-    /// shortest-job-first placement key.
+    /// Estimated full job cost: `cost_h + map_cost + reduce_cost`.
     pub total_cost: f64,
     /// Estimated DFS input, `Σᵢ Nᵢ`.
     pub input_bytes: ByteSize,
@@ -94,73 +89,22 @@ impl JobEstimate {
     }
 }
 
-/// Longest estimated path from each node to a sink, *including* the
-/// node's own duration — the critical-path priority of `cp` placement.
-///
-/// `deps[i]` lists the prerequisite indices of node `i`; every edge must
-/// point forward (`dep < i`), which is exactly the invariant
-/// [`crate::JobDag`] maintains. A node's critical path is its duration
-/// plus the maximum critical path among the nodes that depend on it; the
-/// maximum over all nodes is the DAG's critical-path length — a lower
-/// bound on the makespan of *any* schedule, however many job slots.
-pub fn critical_path_lengths<D: AsRef<[usize]>>(durations: &[f64], deps: &[D]) -> Vec<f64> {
-    assert_eq!(durations.len(), deps.len(), "one dep list per node");
-    let mut cp = durations.to_vec();
-    // Reverse order: dependents of i always have indices > i.
-    for i in (0..deps.len()).rev() {
-        let tail = cp[i];
-        for &d in deps[i].as_ref() {
-            debug_assert!(d < i, "edges point forward");
-            if cp[d] < durations[d] + tail {
-                cp[d] = durations[d] + tail;
-            }
-        }
-    }
-    cp
-}
-
-/// Makespan of list-scheduling a DAG of jobs onto `slots` identical job
-/// slots: each job starts the moment all its prerequisites have finished
-/// and a slot is free, with ready ties broken by the priority function
-/// (then by index). This is the scheduler-aware **net-time model**: with
-/// per-job durations from the estimation layer it *predicts* the wall
-/// clock of DAG-scheduled execution, complementing the paper's per-round
-/// model (sum of round makespans) which assumes a barrier between
+/// Per-job finish times (seconds from schedule start) of list-scheduling
+/// a DAG of jobs onto `slots` identical job slots: each job starts the
+/// moment all its prerequisites have finished and a slot is free, ready
+/// ties going to the lowest index (FIFO over the flat order). This is
+/// the scheduler-aware **net-time model**: with per-job durations it
+/// *predicts* the wall clock of DAG-scheduled execution — the makespan
+/// is the largest finish time — complementing the paper's per-round
+/// model (sum of round makespans), which assumes a barrier between
 /// rounds.
 ///
-/// `priority(i)` ranks ready jobs (smaller runs first); pass a constant
-/// for plain FIFO-by-index order.
-pub fn list_schedule_makespan_by<D, F>(
+/// `deps[i]` lists the prerequisite indices of node `i`.
+pub fn list_schedule_finish_times<D: AsRef<[usize]>>(
     durations: &[f64],
     deps: &[D],
     slots: usize,
-    priority: F,
-) -> f64
-where
-    D: AsRef<[usize]>,
-    F: Fn(usize) -> f64,
-{
-    list_schedule_finish_times_by(durations, deps, slots, priority)
-        .into_iter()
-        .fold(0.0, f64::max)
-}
-
-/// The per-job finish times of [`list_schedule_makespan_by`]'s simulated
-/// schedule (seconds from schedule start). The multi-tenant scheduler
-/// uses these to predict each *submission's* completion inside one
-/// global simulation — cross-submission conflict edges and slot
-/// contention included — so the prediction is comparable to the
-/// per-submission wall clock it is reported next to.
-pub fn list_schedule_finish_times_by<D, F>(
-    durations: &[f64],
-    deps: &[D],
-    slots: usize,
-    priority: F,
-) -> Vec<f64>
-where
-    D: AsRef<[usize]>,
-    F: Fn(usize) -> f64,
-{
+) -> Vec<f64> {
     assert_eq!(durations.len(), deps.len(), "one dep list per node");
     let n = durations.len();
     let mut finish_at = vec![0.0f64; n];
@@ -175,23 +119,12 @@ where
             dependents[p].push(i);
         }
     }
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+    let mut ready: BTreeSet<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
     let mut running: Vec<(f64, usize)> = Vec::new(); // (finish time, node)
     let mut time = 0.0f64;
     loop {
-        while running.len() < slots && !ready.is_empty() {
-            // Claim the highest-priority ready job (ties: lowest index).
-            let best = ready
-                .iter()
-                .enumerate()
-                .min_by(|(_, &a), (_, &b)| {
-                    (priority(a), a)
-                        .partial_cmp(&(priority(b), b))
-                        .expect("finite priorities")
-                })
-                .map(|(pos, _)| pos)
-                .expect("non-empty ready list");
-            let node = ready.swap_remove(best);
+        while running.len() < slots {
+            let Some(node) = ready.pop_first() else { break };
             let finish = time + durations[node];
             finish_at[node] = finish;
             running.push((finish, node));
@@ -211,22 +144,11 @@ where
         for &d in &dependents[node] {
             indegree[d] -= 1;
             if indegree[d] == 0 {
-                ready.push(d);
+                ready.insert(d);
             }
         }
     }
     finish_at
-}
-
-/// [`list_schedule_makespan_by`] with FIFO (flat-index) tie-breaking —
-/// the deterministic, policy-independent definition the predicted DAG
-/// net-time metric uses.
-pub fn list_schedule_makespan<D: AsRef<[usize]>>(
-    durations: &[f64],
-    deps: &[D],
-    slots: usize,
-) -> f64 {
-    list_schedule_makespan_by(durations, deps, slots, |_| 0.0)
 }
 
 #[cfg(test)]
@@ -279,21 +201,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn critical_paths_on_a_diamond() {
-        // 0 → {1, 2} → 3 with durations 1, 2, 5, 1.
-        let deps: [&[usize]; 4] = [&[], &[0], &[0], &[1, 2]];
-        let cp = critical_path_lengths(&[1.0, 2.0, 5.0, 1.0], &deps);
-        assert_eq!(cp, vec![7.0, 3.0, 6.0, 1.0]);
+    /// The makespan of a FIFO list schedule.
+    fn makespan(durations: &[f64], deps: &[&[usize]], slots: usize) -> f64 {
+        list_schedule_finish_times(durations, deps, slots)
+            .into_iter()
+            .fold(0.0, f64::max)
     }
 
     #[test]
     fn chain_on_one_slot_is_the_sum() {
         let deps: [&[usize]; 3] = [&[], &[0], &[1]];
         let d = [2.0, 3.0, 4.0];
-        assert!((list_schedule_makespan(&d, &deps, 1) - 9.0).abs() < 1e-12);
+        assert!((makespan(&d, &deps, 1) - 9.0).abs() < 1e-12);
         // A chain cannot go faster with more slots.
-        assert!((list_schedule_makespan(&d, &deps, 8) - 9.0).abs() < 1e-12);
+        assert!((makespan(&d, &deps, 8) - 9.0).abs() < 1e-12);
     }
 
     #[test]
@@ -301,30 +222,29 @@ mod tests {
         let deps: [&[usize]; 4] = [&[], &[0], &[0], &[1, 2]];
         let d = [1.0, 2.0, 5.0, 1.0];
         // 1 slot: everything serial.
-        assert!((list_schedule_makespan(&d, &deps, 1) - 9.0).abs() < 1e-12);
+        assert!((makespan(&d, &deps, 1) - 9.0).abs() < 1e-12);
         // 2+ slots: the two middle jobs overlap -> critical path 1+5+1.
-        assert!((list_schedule_makespan(&d, &deps, 2) - 7.0).abs() < 1e-12);
-        let cp = critical_path_lengths(&d, &deps);
-        assert!((list_schedule_makespan(&d, &deps, 4) - cp[0]).abs() < 1e-12);
+        assert!((makespan(&d, &deps, 2) - 7.0).abs() < 1e-12);
+        assert!((makespan(&d, &deps, 4) - 7.0).abs() < 1e-12);
     }
 
     #[test]
-    fn priority_order_changes_the_packing() {
-        // Two independent pairs {0(3.0)}, {1(1.0)}, one slot free at a
-        // time for the second wave: with SJF ordering the short job goes
-        // first. Shapes makespan only under contention.
+    fn one_slot_runs_ready_jobs_in_index_order() {
+        // Two independent jobs and one dependent of the second: on one
+        // slot the ready ties go by index, so the jobs finish in flat
+        // order and the makespan is the total work.
         let deps: [&[usize]; 3] = [&[], &[], &[1]];
         let d = [3.0, 1.0, 1.0];
-        // FIFO on 1 slot: 0, 1, 2 -> 5. SJF: 1, 2 ... still 5 total on
-        // one slot (work conserving), but job 2 finishes earlier; the
-        // makespan is the same here — assert both are the total.
-        assert!((list_schedule_makespan(&d, &deps, 1) - 5.0).abs() < 1e-12);
-        assert!((list_schedule_makespan_by(&d, &deps, 1, |i| d[i]) - 5.0).abs() < 1e-12);
+        assert_eq!(
+            list_schedule_finish_times(&d, &deps, 1),
+            vec![3.0, 4.0, 5.0]
+        );
     }
 
     #[test]
     fn empty_dag_has_zero_makespan() {
         let deps: [&[usize]; 0] = [];
-        assert_eq!(list_schedule_makespan(&[], &deps, 4), 0.0);
+        assert!(list_schedule_finish_times(&[], &deps, 4).is_empty());
+        assert_eq!(makespan(&[], &deps, 4), 0.0);
     }
 }

@@ -54,10 +54,10 @@
 //! ## The estimation layer
 //!
 //! [`estimate`] packages plan-time cost estimates as [`JobEstimate`]s
-//! attached to [`Job`]s, so the same numbers the planner optimizes drive
-//! the DAG scheduler's placement (shortest-job-first / critical-path),
-//! per-job thread sizing, and the predicted DAG net-time metric
-//! ([`ProgramStats::predicted_net_time`]).
+//! attached to [`Job`]s, so the same numbers the planner optimizes size
+//! the DAG scheduler's per-job worker pools; its list-scheduling model
+//! ([`list_schedule_finish_times`]) gives the predicted DAG net-time
+//! metric ([`ProgramStats::predicted_net_time`]).
 
 pub mod batch_shuffle;
 pub mod cluster;
@@ -78,9 +78,7 @@ pub use batch_shuffle::{BatchGroups, BatchPartition, PairBatch, TupleStore};
 pub use cluster::Cluster;
 pub use cost::{job_cost, CostConstants, CostModelKind};
 pub use dag::{DagNode, JobDag};
-pub use estimate::{
-    critical_path_lengths, list_schedule_makespan, list_schedule_makespan_by, JobEstimate,
-};
+pub use estimate::{list_schedule_finish_times, JobEstimate};
 pub use executor::{
     commit_job, plan_job, ComputedJob, EngineConfig, Executor, ExecutorKind, MapPlan,
 };

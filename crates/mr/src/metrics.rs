@@ -145,10 +145,7 @@ pub struct ProgramStats {
     /// `max_concurrent_jobs` slots, with each job's duration
     /// reconstructed exactly as the per-round model prices a single-job
     /// round (`cost_h` + pooled map makespan + pooled reduce makespan).
-    /// In multi-tenant runs the simulation is *global* — cross-submission
-    /// conflict edges and slot contention included — so each
-    /// submission's prediction is comparable to its wall clock. Set by
-    /// the DAG scheduler; `None` on the round-barrier path, whose
+    /// Set by the DAG scheduler; `None` on the round-barrier path, whose
     /// net-time model is the per-round sum. When the DAG is a chain and
     /// only one job slot exists, the two models coincide.
     pub predicted_net_time: Option<f64>,

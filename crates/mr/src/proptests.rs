@@ -12,7 +12,7 @@ use gumbo_common::{ByteSize, Tuple};
 use crate::batch_shuffle::{BatchPartition, PairBatch};
 use crate::cluster::lpt_makespan;
 use crate::cost::{job_cost, CostConstants, CostModelKind};
-use crate::dag::jobs_conflict;
+use crate::dag::JobFootprint;
 use crate::job::test_support::noop_job;
 use crate::job::Job;
 use crate::message::{Message, Payload};
@@ -326,7 +326,7 @@ proptest! {
         // so no topological order can reorder a read past a write.
         for u in 0..dag.len() {
             for v in (u + 1)..dag.len() {
-                if jobs_conflict(&dag.node(u).job, &dag.node(v).job) {
+                if JobFootprint::of(&dag.node(u).job).conflicts_with(&JobFootprint::of(&dag.node(v).job)) {
                     prop_assert!(
                         dag.node(v).deps().contains(&u),
                         "conflicting pair ({}, {}) lacks an edge", u, v

@@ -3,10 +3,10 @@
 //!
 //! The DAG scheduler promises byte-identical DFS contents and identical
 //! statistics versus round-barrier execution. Every harness that asserts
-//! that promise (the `dagsched` benchmark, the scheduler unit tests, the
-//! workspace-level equivalence suite) calls these two functions, so the
-//! field list can never drift between checkers: a new stats field gets
-//! compared everywhere or nowhere.
+//! that promise (the `spill` and `dfs` experiments, the scheduler unit
+//! tests, the workspace-level equivalence suite) calls these two
+//! functions, so the field list can never drift between checkers: a new
+//! stats field gets compared everywhere or nowhere.
 //!
 //! The functions panic with a labeled message on the first divergence —
 //! they are verification tools, not control flow.

@@ -11,23 +11,17 @@
 //!
 //! * [`gumbo_mr::JobDag`] — jobs plus edges inferred from input/output
 //!   relation names (`MrProgram::into_dag()`);
-//! * [`DagScheduler`] — runs each job the moment its inputs are
-//!   materialized, on a bounded worker pool
-//!   ([`SchedulerConfig::max_concurrent_jobs`]); the DFS is shared behind
-//!   an `RwLock` — inputs are planned under the read lock, the
-//!   map/shuffle/reduce compute holds no lock at all, outputs commit
-//!   under the write lock;
-//! * [`PlacementPolicy`] — how the ready queue is ordered: FIFO, or
-//!   cost-driven shortest-job-first / critical-path placement over the
-//!   estimation layer's per-job annotations
-//!   ([`gumbo_mr::estimate`]); the same annotations size per-job worker
-//!   pools under [`SchedulerConfig::core_budget`] and feed the predicted
-//!   DAG net-time metric ([`gumbo_mr::ProgramStats::predicted_net_time`]);
-//! * [`Submission`] / [`SubmissionReport`] — a multi-tenant front door:
-//!   many independent `MrProgram`s admitted concurrently onto one
-//!   cluster, with fair-share admission and per-submission statistics
-//!   (including `queued_ns`/`admitted_ns`/`completed_ns` on the obs
-//!   monotonic clock);
+//! * [`DagScheduler`] — runs one program's DAG, each job the moment its
+//!   inputs are materialized, on a bounded worker pool
+//!   ([`SchedulerConfig::max_concurrent_jobs`]) that claims ready jobs
+//!   in FIFO order ([`PlacementPolicy::Fifo`]); the DFS is shared between
+//!   workers — inputs are planned and outputs committed against the same
+//!   internally synchronized `&dyn Dfs`, and the map/shuffle/reduce
+//!   compute holds no lock at all. The estimation layer's per-job
+//!   annotations ([`gumbo_mr::estimate`]) size per-job worker pools
+//!   under [`SchedulerConfig::core_budget`], and the scheduler reports a
+//!   predicted DAG net time
+//!   ([`gumbo_mr::ProgramStats::predicted_net_time`]);
 //! * [`admission`] — the resident-service layer on top: a bounded
 //!   [`AdmissionQueue`] with **estimate-weighted fair-share** admission
 //!   ([`FairShareLedger`]): each tenant carries a weight and a running
@@ -45,17 +39,13 @@
 
 pub mod admission;
 pub mod equivalence;
-pub mod placement;
 pub mod scheduler;
-pub mod submission;
 
 pub use admission::{
     AdmissionConfig, AdmissionQueue, FairShareLedger, QueuedEntry, SubmitError, TenantAccount,
 };
 pub use equivalence::{assert_identical_dfs, assert_identical_stats};
-pub use placement::PlacementPolicy;
-pub use scheduler::{DagScheduler, SchedulerConfig};
-pub use submission::{Submission, SubmissionReport};
+pub use scheduler::{DagScheduler, PlacementPolicy, SchedulerConfig};
 
 #[cfg(test)]
 mod proptests;

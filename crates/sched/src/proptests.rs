@@ -1,17 +1,13 @@
-//! Property tests for cost-driven placement.
+//! Property tests for the DAG scheduler and fair-share admission.
 //!
-//! Two properties the ISSUE-4 refactor rests on:
-//!
-//! 1. **Annotations are policy-invariant.** A job's estimate is attached
-//!    at plan time and is a function of the job alone, so lowering a
-//!    program with `into_dag()` and executing it under *any* placement
-//!    policy leaves the same estimate on the same node — and, since
-//!    placement only reorders ready jobs, the DFS contents and every
-//!    non-timing statistic are identical across policies.
-//! 2. **Critical path bounds makespans.** The critical-path priority of
-//!    `cp` placement is a true lower bound on any list schedule of the
-//!    DAG — including the shortest-job-first ordering — for every slot
-//!    count; with one slot the schedule degenerates to the total work.
+//! 1. **Estimates survive the lowering.** A job's estimate is attached at
+//!    plan time and is a function of the job alone, so `into_dag()` leaves
+//!    the same estimate on the same node.
+//! 2. **The scheduler is the round barrier, reordered.** Random
+//!    conflicting copy-job programs leave byte-identical DFS contents and
+//!    identical statistics under the DAG scheduler (1 and 4 job slots)
+//!    and under [`gumbo_mr::Executor::execute`].
+//! 3. **Admission is weighted-fair and deterministic** (see below).
 
 #![cfg(test)]
 
@@ -19,12 +15,11 @@ use proptest::prelude::*;
 
 use gumbo_common::{ByteSize, Fact, Relation, RelationName, Result as GumboResult, Tuple};
 use gumbo_mr::{
-    list_schedule_makespan_by, CostConstants, CostModelKind, EngineConfig, InputPartition, Job,
-    JobConfig, JobEstimate, JobProfile, Mapper, Message, MrProgram, ParallelExecutor, Reducer,
+    CostConstants, CostModelKind, EngineConfig, Executor, InputPartition, Job, JobConfig,
+    JobEstimate, JobProfile, Mapper, Message, MrProgram, ParallelExecutor, Reducer,
 };
 use gumbo_storage::SimDfs;
 
-use crate::placement::PlacementPolicy;
 use crate::scheduler::{DagScheduler, SchedulerConfig};
 
 /// Copies every input tuple to the job's single output relation — cheap,
@@ -127,14 +122,10 @@ fn random_program(spec: &[(u8, u8, u8)]) -> MrProgram {
     program
 }
 
-fn run_policy(
-    spec: &[(u8, u8, u8)],
-    policy: PlacementPolicy,
-) -> GumboResult<(SimDfs, gumbo_mr::ProgramStats)> {
+fn run_dag(spec: &[(u8, u8, u8)], slots: usize) -> GumboResult<(SimDfs, gumbo_mr::ProgramStats)> {
     let executor = ParallelExecutor::with_threads(EngineConfig::unscaled(), 1);
     let scheduler = DagScheduler::new(SchedulerConfig {
-        max_concurrent_jobs: 2,
-        placement: policy,
+        max_concurrent_jobs: slots,
         ..SchedulerConfig::default()
     });
     let dfs = base_dfs();
@@ -145,82 +136,38 @@ fn run_policy(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `into_dag()` annotations are policy-invariant: the same estimate
-    /// sits on the same node regardless of how the ready queue will be
-    /// ordered, and critical-path priorities derive from them alone.
+    /// `into_dag()` keeps every job's plan-time estimate on its node.
     #[test]
-    fn dag_annotations_are_policy_invariant(
+    fn estimates_survive_into_dag(
         spec in proptest::collection::vec((0u8..8, 0u8..8, 0u8..20), 1..8),
     ) {
         let dag = random_program(&spec).into_dag();
-        let expected: Vec<f64> = spec.iter().map(|&(_, _, c)| {
-            estimate(1.0 + c as f64).total_cost
-        }).collect();
-        for (node, want) in dag.nodes().iter().zip(&expected) {
+        prop_assert_eq!(dag.len(), spec.len());
+        for (node, &(_, _, c)) in dag.nodes().iter().zip(&spec) {
             let got = node.estimate().expect("planner attached an estimate");
-            prop_assert!((got.total_cost - want).abs() < 1e-12);
-            prop_assert!((node.estimated_cost() - want).abs() < 1e-12);
-        }
-        // Critical paths are a pure function of the annotated DAG:
-        // recomputing yields the same numbers (nothing scheduling-order
-        // dependent leaks in) and each ≥ the node's own cost.
-        let cp = dag.critical_paths();
-        prop_assert_eq!(&cp, &dag.critical_paths());
-        for (node, len) in dag.nodes().iter().zip(&cp) {
-            prop_assert!(*len >= node.estimated_cost() - 1e-12);
+            prop_assert!((got.total_cost - estimate(1.0 + c as f64).total_cost).abs() < 1e-12);
         }
     }
 
-    /// Executing the same random program under fifo / sjf / cp placement
-    /// leaves byte-identical DFS contents and identical statistics —
-    /// placement moves wall clock only.
+    /// Random conflicting copy-job DAGs on 1 and 4 job slots leave the
+    /// DFS and the statistics exactly as the round barrier does, and
+    /// report a positive predicted net time that the barrier does not.
     #[test]
-    fn policies_are_observationally_identical(
+    fn scheduler_matches_round_barrier(
         spec in proptest::collection::vec((0u8..8, 0u8..8, 0u8..20), 1..6),
     ) {
-        let (dfs_fifo, stats_fifo) = run_policy(&spec, PlacementPolicy::Fifo).unwrap();
-        for policy in [PlacementPolicy::Sjf, PlacementPolicy::CriticalPath] {
-            let (dfs, stats) = run_policy(&spec, policy).unwrap();
-            crate::equivalence::assert_identical_dfs(policy.label(), &dfs_fifo, &dfs);
-            crate::equivalence::assert_identical_stats(policy.label(), &stats_fifo, &stats);
-            // The predicted DAG net time is policy-independent by
-            // definition (deterministic list scheduling).
-            let (a, b) = (
-                stats_fifo.predicted_net_time.expect("scheduled run predicts"),
-                stats.predicted_net_time.expect("scheduled run predicts"),
-            );
-            prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        let executor = ParallelExecutor::with_threads(EngineConfig::unscaled(), 1);
+        let dfs_barrier = base_dfs();
+        let barrier = executor.execute(&dfs_barrier, &random_program(&spec)).unwrap();
+        prop_assert!(barrier.predicted_net_time.is_none());
+        for slots in [1usize, 4] {
+            let label = format!("{slots} slots");
+            let (dfs, stats) = run_dag(&spec, slots).unwrap();
+            crate::equivalence::assert_identical_dfs(&label, &dfs_barrier, &dfs);
+            crate::equivalence::assert_identical_stats(&label, &barrier, &stats);
+            let predicted = stats.predicted_net_time.expect("scheduled run predicts");
+            prop_assert!(predicted > 0.0, "{}: {}", label, predicted);
         }
-    }
-
-    /// The critical-path length is a lower bound on the makespan of any
-    /// list schedule of the DAG — in particular the shortest-job-first
-    /// order — for every slot count; one slot degenerates to total work
-    /// and unlimited slots achieve the critical path exactly.
-    #[test]
-    fn critical_path_bounds_sjf_makespan(
-        spec in proptest::collection::vec((0u8..8, 0u8..8, 0u8..20), 1..8),
-        slots in 1usize..5,
-    ) {
-        let dag = random_program(&spec).into_dag();
-        let durations: Vec<f64> = dag.nodes().iter().map(|n| n.estimated_cost()).collect();
-        let deps: Vec<&[usize]> = dag.nodes().iter().map(|n| n.deps()).collect();
-        let total: f64 = durations.iter().sum();
-        let cp_len = dag
-            .critical_paths()
-            .into_iter()
-            .fold(0.0f64, f64::max);
-
-        let sjf = list_schedule_makespan_by(&durations, &deps, slots, |i| durations[i]);
-        prop_assert!(cp_len <= sjf + 1e-9, "cp {cp_len} > sjf makespan {sjf}");
-        prop_assert!(total / slots as f64 <= sjf + 1e-9);
-        prop_assert!(sjf <= total + 1e-9);
-
-        let serial = list_schedule_makespan_by(&durations, &deps, 1, |i| durations[i]);
-        prop_assert!((serial - total).abs() < 1e-9);
-        let unlimited =
-            list_schedule_makespan_by(&durations, &deps, durations.len(), |i| durations[i]);
-        prop_assert!((unlimited - cp_len).abs() < 1e-9);
     }
 }
 

@@ -6,10 +6,9 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::thread;
-use std::time::Instant;
 
 use gumbo_common::{GumboError, Result};
-use gumbo_mr::dag::JobFootprint;
+use gumbo_mr::estimate::list_schedule_finish_times;
 use gumbo_mr::metrics::RoundStats;
 use gumbo_mr::{
     commit_job, plan_job, Executor, ExecutorKind, JobDag, JobEstimate, JobStats, MrProgram,
@@ -17,8 +16,17 @@ use gumbo_mr::{
 };
 use gumbo_storage::Dfs;
 
-use crate::placement::PlacementPolicy;
-use crate::submission::{Submission, SubmissionReport};
+/// How the scheduler orders its ready queue. FIFO is the only order:
+/// ready jobs are claimed in the order they became ready. Placement can
+/// only choose among jobs whose dependencies are satisfied, so no order
+/// changes an answer or a non-timing statistic, and the predicted DAG
+/// net time is list-scheduled in this same order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PlacementPolicy {
+    /// First in, first out.
+    #[default]
+    Fifo,
+}
 
 /// Scheduler sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +39,8 @@ pub struct SchedulerConfig {
     ///
     /// The scheduler runs jobs on whatever executor it is handed; this
     /// knob takes effect where the executor is *built* — resolve it with
-    /// [`SchedulerConfig::executor_kind`] (as `GumboEngine::runtime` and
-    /// the `dagsched` bench do) before building.
+    /// [`SchedulerConfig::executor_kind`] (as `GumboEngine::runtime` does)
+    /// before building.
     pub threads_per_job: usize,
     /// Shuffle memory budget for scheduled execution. Like
     /// `threads_per_job`, this takes effect where the executor is built —
@@ -41,11 +49,7 @@ pub struct SchedulerConfig {
     /// shared by (and collectively bounds) every concurrently running
     /// job. Unlimited by default, deferring to the engine configuration.
     pub mem_budget: gumbo_mr::MemBudget,
-    /// How ready jobs are ordered for placement (`--placement` on the
-    /// CLI): FIFO (the cost-blind baseline), shortest-job-first, or
-    /// critical-path — the latter two driven by the estimation layer's
-    /// per-job annotations. Answers and non-timing statistics are
-    /// identical under every policy.
+    /// How ready jobs are ordered: always [`PlacementPolicy::Fifo`].
     pub placement: PlacementPolicy,
     /// Total cores the scheduler may spread over concurrently running
     /// jobs. `0` (the default) disables cost-driven sizing and keeps the
@@ -103,19 +107,6 @@ impl SchedulerConfig {
         }
     }
 
-    /// Builder-style: set the shuffle memory budget for scheduled
-    /// execution (shared by every concurrently running job).
-    pub fn with_mem_budget(mut self, budget: gumbo_mr::MemBudget) -> Self {
-        self.mem_budget = budget;
-        self
-    }
-
-    /// Builder-style: set the placement policy.
-    pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
-        self.placement = placement;
-        self
-    }
-
     /// Per-job worker-pool size under the total-core budget: the job's
     /// estimated widest phase ([`JobEstimate::suggested_parallelism`]),
     /// clamped to an equal share of [`SchedulerConfig::core_budget`]
@@ -133,39 +124,14 @@ impl SchedulerConfig {
     }
 }
 
-/// A global job id: which submission, which node within it.
-#[derive(Debug, Clone, Copy)]
-struct JobRef {
-    sub: usize,
-    node: usize,
-}
-
-/// What [`DagScheduler::run`] reports per DAG.
-struct DagRun {
-    stats: ProgramStats,
-    wall_seconds: f64,
-    /// obs-epoch timestamp of the DAG's last commit.
-    completed_ns: u64,
-}
-
 /// Shared scheduling state, guarded by one mutex + condvar.
 struct SchedState {
-    /// Unmet-dependency counts, indexed by global job id.
+    /// Unmet-dependency counts, indexed by DAG node.
     indegree: Vec<usize>,
-    /// Per-submission ready queues of global job ids (FIFO within a
-    /// submission; fairness decides *between* submissions).
-    ready: Vec<VecDeque<usize>>,
-    /// Per-submission currently-running job counts.
-    running: Vec<usize>,
-    /// Per-submission completed job counts.
-    completed: Vec<usize>,
-    /// Collected statistics, indexed by global job id.
+    /// Ready nodes, in the order they became ready.
+    ready: VecDeque<usize>,
+    /// Collected statistics, indexed by DAG node.
     results: Vec<Option<JobStats>>,
-    /// Per-submission completion instants (set when the last job commits).
-    finished_at: Vec<Option<Instant>>,
-    /// Per-submission completion timestamps on the obs monotonic clock
-    /// ([`gumbo_obs::now_ns`]), for [`SubmissionReport::completed_ns`].
-    finished_ns: Vec<Option<u64>>,
     /// Jobs not yet completed.
     remaining: usize,
     /// First failure; stops admission of further jobs.
@@ -174,48 +140,6 @@ struct SchedState {
     /// once every worker has stopped, so a panicking job can never leave
     /// its peers waiting for a completion that will not come.
     panic: Option<Box<dyn Any + Send>>,
-}
-
-impl SchedState {
-    /// Fair admission, policy placement: among submissions with ready
-    /// jobs, pick the one with the fewest running jobs (ties: fewest
-    /// completed, then lowest id — round-robin-ish for symmetric
-    /// tenants); *within* it, pick the ready job the placement policy
-    /// prefers. Returns the claimed global job id.
-    fn claim_next(&mut self, policy: PlacementPolicy, priority: &[f64]) -> Option<usize> {
-        let sub = (0..self.ready.len())
-            .filter(|&s| !self.ready[s].is_empty())
-            .min_by_key(|&s| (self.running[s], self.completed[s], s))?;
-        let queue = &mut self.ready[sub];
-        // One selection rule, per-policy key: smallest key wins, ties
-        // break on the lowest gid (= admission order), so unannotated
-        // DAGs degrade to deterministic FIFO. `sjf` prefers the smallest
-        // estimated cost, `cp` the longest estimated path to a sink;
-        // `fifo` takes the front of the queue (arrival order) without
-        // consulting priorities at all.
-        let pos = match policy {
-            PlacementPolicy::Fifo => 0,
-            PlacementPolicy::Sjf | PlacementPolicy::CriticalPath => {
-                let key = |gid: usize| match policy {
-                    PlacementPolicy::Sjf => priority[gid],
-                    _ => -priority[gid],
-                };
-                queue
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, &a), (_, &b)| {
-                        (key(a), a)
-                            .partial_cmp(&(key(b), b))
-                            .expect("finite priorities")
-                    })
-                    .map(|(pos, _)| pos)
-                    .expect("non-empty queue")
-            }
-        };
-        let gid = queue.remove(pos).expect("position in bounds");
-        self.running[sub] += 1;
-        Some(gid)
-    }
 }
 
 /// The dependency-driven scheduler.
@@ -242,19 +166,6 @@ impl DagScheduler {
         DagScheduler { config }
     }
 
-    /// Execute one DAG to completion, returning statistics identical to
-    /// what the round-barrier path would produce for the source program.
-    pub fn execute(
-        &self,
-        executor: &dyn Executor,
-        dfs: &dyn Dfs,
-        dag: &JobDag,
-    ) -> Result<ProgramStats> {
-        let dags = [dag];
-        let mut stats = self.run(executor, dfs, &dags, &["default"])?;
-        Ok(stats.pop().expect("one dag in, one stats out").stats)
-    }
-
     /// Lower a program and execute it as a DAG.
     pub fn execute_program(
         &self,
@@ -262,200 +173,78 @@ impl DagScheduler {
         dfs: &dyn Dfs,
         program: MrProgram,
     ) -> Result<ProgramStats> {
-        self.execute(executor, dfs, &program.into_dag())
+        self.run(executor, dfs, &program.into_dag())
     }
 
-    /// Execute many tenants' submissions concurrently on the shared pool
-    /// with fair admission, returning per-submission statistics in
-    /// admission order.
-    pub fn execute_many(
+    /// Execute one DAG to completion, returning statistics identical to
+    /// what the round-barrier path would produce for the source program.
+    /// Ready jobs are claimed in the order they became ready.
+    pub fn run(
         &self,
         executor: &dyn Executor,
         dfs: &dyn Dfs,
-        submissions: &[Submission],
-    ) -> Result<Vec<SubmissionReport>> {
-        let dags: Vec<&JobDag> = submissions.iter().map(|s| &s.dag).collect();
-        let tenants: Vec<&str> = submissions.iter().map(|s| s.tenant.as_str()).collect();
-        // Direct execute_many calls skip any admission queue, so the
-        // whole batch queues and admits at the scheduler's start; a
-        // front-end with a real queue (gumbo-serve) builds its reports
-        // from the queue's own timestamps instead.
-        let admitted_ns = gumbo_obs::now_ns();
-        let stats = self.run(executor, dfs, &dags, &tenants)?;
-        Ok(submissions
-            .iter()
-            .zip(stats)
-            .map(|(sub, dag_run)| SubmissionReport {
-                tenant: sub.tenant.clone(),
-                stats: dag_run.stats,
-                wall_seconds: dag_run.wall_seconds,
-                queued_ns: admitted_ns,
-                admitted_ns,
-                completed_ns: dag_run.completed_ns,
-            })
-            .collect())
-    }
-
-    /// The scheduling core: run every job of every DAG, respecting
-    /// intra-DAG dependency edges and serializing cross-DAG conflicts in
-    /// admission order. Returns per-DAG statistics and completion times.
-    fn run(
-        &self,
-        executor: &dyn Executor,
-        dfs: &dyn Dfs,
-        dags: &[&JobDag],
-        tenants: &[&str],
-    ) -> Result<Vec<DagRun>> {
-        debug_assert_eq!(dags.len(), tenants.len());
-        // Global ids: DAGs flattened in admission order.
-        let mut jobs: Vec<JobRef> = Vec::new();
-        let mut offset = vec![0usize; dags.len()];
-        for (s, dag) in dags.iter().enumerate() {
-            offset[s] = jobs.len();
-            jobs.extend((0..dag.len()).map(|node| JobRef { sub: s, node }));
-            gumbo_obs::event("sched:submit", |f| {
-                f.str("tenant", tenants[s]);
-                f.u64("jobs", dag.len() as u64);
-                f.str("policy", self.config.placement.label());
-            });
-        }
-        let total = jobs.len();
-
-        // Dependency wiring: intra-DAG edges come from the DAG itself;
-        // cross-DAG conflicts (shared relation, at least one side writing)
-        // serialize in admission order, so non-independent submissions
-        // stay correct — they just lose concurrency. Footprints are
-        // captured once per job: the cross check is O(pairs) set lookups.
-        let footprints: Vec<JobFootprint> = if dags.len() > 1 {
-            jobs.iter()
-                .map(|j| JobFootprint::of(&dags[j.sub].node(j.node).job))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut indegree = vec![0usize; total];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); total];
-        // Global dependency lists (intra-DAG edges + cross-DAG conflict
-        // edges), kept for the predicted-net-time simulation below so
-        // the prediction sees exactly the constraints the scheduler
-        // enforces.
-        let mut global_deps: Vec<Vec<usize>> = vec![Vec::new(); total];
-        for (gid, j) in jobs.iter().enumerate() {
-            let node = dags[j.sub].node(j.node);
-            indegree[gid] = node.deps().len();
-            for &d in node.deps() {
-                dependents[offset[j.sub] + d].push(gid);
-                global_deps[gid].push(offset[j.sub] + d);
-            }
-            if !footprints.is_empty() {
-                for (earlier_gid, e) in jobs.iter().enumerate().take(gid) {
-                    if e.sub != j.sub && footprints[earlier_gid].conflicts_with(&footprints[gid]) {
-                        indegree[gid] += 1;
-                        dependents[earlier_gid].push(gid);
-                        global_deps[gid].push(earlier_gid);
-                    }
-                }
-            }
+        dag: &JobDag,
+    ) -> Result<ProgramStats> {
+        let total = dag.len();
+        gumbo_obs::event("sched:submit", |f| {
+            f.u64("jobs", total as u64);
+        });
+        let indegree: Vec<usize> = dag.nodes().iter().map(|n| n.deps().len()).collect();
+        for (node, deps) in dag.nodes().iter().zip(&indegree) {
             gumbo_obs::event("sched:admit", |f| {
-                f.str("tenant", tenants[j.sub]);
                 f.str("job", &node.job.name);
-                f.u64("deps", indegree[gid] as u64);
+                f.u64("deps", *deps as u64);
             });
         }
-
-        // Placement priorities from the estimation layer's annotations.
-        // Estimates are attached to jobs at plan time, so priorities are
-        // a pure function of the DAGs — invariant under any ready-queue
-        // order, which is what keeps every policy observationally
-        // identical.
-        let policy = self.config.placement;
-        let priority: Vec<f64> = match policy {
-            PlacementPolicy::Fifo => vec![0.0; total],
-            PlacementPolicy::Sjf => jobs
-                .iter()
-                .map(|j| {
-                    dags[j.sub]
-                        .node(j.node)
-                        .estimate()
-                        .map(|e| e.total_cost)
-                        // Unannotated jobs sort last; ties fall back to
-                        // admission order.
-                        .unwrap_or(f64::INFINITY)
-                })
-                .collect(),
-            PlacementPolicy::CriticalPath => {
-                let mut cp = vec![0.0; total];
-                for (s, dag) in dags.iter().enumerate() {
-                    for (node, len) in dag.critical_paths().into_iter().enumerate() {
-                        cp[offset[s] + node] = len;
-                    }
-                }
-                cp
-            }
-        };
-
-        let mut ready: Vec<VecDeque<usize>> = vec![VecDeque::new(); dags.len()];
-        for (gid, j) in jobs.iter().enumerate() {
-            if indegree[gid] == 0 {
-                ready[j.sub].push_back(gid);
-                gumbo_obs::event("sched:ready", |f| {
-                    f.str("tenant", tenants[j.sub]);
-                    f.str("job", &dags[j.sub].node(j.node).job.name);
-                });
-            }
+        let ready: VecDeque<usize> = (0..total).filter(|&i| indegree[i] == 0).collect();
+        for &i in &ready {
+            gumbo_obs::event("sched:ready", |f| {
+                f.str("job", &dag.node(i).job.name);
+            });
         }
 
         let state = Mutex::new(SchedState {
             indegree,
             ready,
-            running: vec![0; dags.len()],
-            completed: vec![0; dags.len()],
             results: (0..total).map(|_| None).collect(),
-            finished_at: vec![None; dags.len()],
-            finished_ns: vec![None; dags.len()],
             remaining: total,
             error: None,
             panic: None,
         });
         let work_available = Condvar::new();
-        let started = Instant::now();
-        let started_ns = gumbo_obs::now_ns();
 
         let workers = self.config.effective_workers().max(1).min(total.max(1));
         thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
                     loop {
-                        let gid = {
+                        let idx = {
                             let mut st = state.lock().expect("unpoisoned scheduler state");
                             loop {
                                 if st.error.is_some() || st.panic.is_some() || st.remaining == 0 {
                                     return;
                                 }
-                                if let Some(gid) = st.claim_next(policy, &priority) {
-                                    break gid;
+                                if let Some(idx) = st.ready.pop_front() {
+                                    break idx;
                                 }
                                 st = work_available.wait(st).expect("unpoisoned scheduler state");
                             }
                         };
 
-                        let j = jobs[gid];
-                        let node = dags[j.sub].node(j.node);
+                        let node = dag.node(idx);
                         // plan → compute → commit, all against the shared
                         // `&dyn Dfs` (internally synchronized). The job's
                         // stats carry its original round, keeping per-job
-                        // accounting identical to the barrier path. The per-job worker count comes
-                        // from the job's estimate under the core budget
-                        // (0 = the executor's own sizing); thread counts
-                        // can never change answers or metered statistics.
+                        // accounting identical to the barrier path. The
+                        // per-job worker count comes from the job's
+                        // estimate under the core budget (0 = the
+                        // executor's own sizing); thread counts can never
+                        // change answers or metered statistics.
                         let threads = self.config.threads_for(node.estimate());
                         gumbo_obs::event("sched:claim", |f| {
-                            f.str("tenant", tenants[j.sub]);
                             f.str("job", &node.job.name);
-                            f.str("policy", policy.label());
                         });
                         gumbo_obs::event("sched:threads_assigned", |f| {
-                            f.str("tenant", tenants[j.sub]);
                             f.str("job", &node.job.name);
                             f.u64("threads", threads as u64);
                         });
@@ -465,7 +254,6 @@ impl DagScheduler {
                             // plan/phase/commit spans nest beneath the
                             // claim that scheduled them.
                             let _span = gumbo_obs::span_with("job", |f| {
-                                f.str("tenant", tenants[j.sub]);
                                 f.str("job", &node.job.name);
                                 f.u64("round", node.round as u64);
                                 if let Some(e) = node.estimate() {
@@ -478,29 +266,20 @@ impl DagScheduler {
                         }));
 
                         let mut st = state.lock().expect("unpoisoned scheduler state");
-                        st.running[j.sub] -= 1;
                         match outcome {
                             Ok(Ok(stats)) => {
                                 gumbo_obs::event("sched:complete", |f| {
-                                    f.str("tenant", tenants[j.sub]);
                                     f.str("job", &node.job.name);
                                     f.f64("observed_cost", stats.total_cost);
                                 });
-                                st.results[gid] = Some(stats);
-                                st.completed[j.sub] += 1;
+                                st.results[idx] = Some(stats);
                                 st.remaining -= 1;
-                                if st.completed[j.sub] == dags[j.sub].len() {
-                                    st.finished_at[j.sub] = Some(Instant::now());
-                                    st.finished_ns[j.sub] = Some(gumbo_obs::now_ns());
-                                }
-                                for &dep in &dependents[gid] {
+                                for &dep in node.dependents() {
                                     st.indegree[dep] -= 1;
                                     if st.indegree[dep] == 0 {
-                                        st.ready[jobs[dep].sub].push_back(dep);
+                                        st.ready.push_back(dep);
                                         gumbo_obs::event("sched:ready", |f| {
-                                            let d = jobs[dep];
-                                            f.str("tenant", tenants[d.sub]);
-                                            f.str("job", &dags[d.sub].node(d.node).job.name);
+                                            f.str("job", &dag.node(dep).job.name);
                                         });
                                     }
                                 }
@@ -527,70 +306,43 @@ impl DagScheduler {
             return Err(e);
         }
 
-        // Assemble per-DAG statistics: jobs in flat (round) order, and
+        // Assemble the statistics: jobs in flat (round) order, and
         // per-round wall-clock accounting reconstructed exactly like the
         // round-barrier executor computes it.
         let cluster = executor.config().cluster;
         let overhead = executor.config().constants.job_overhead;
-
-        // Predicted DAG net time: list-schedule *all* admitted jobs —
-        // intra-DAG edges, cross-submission conflict edges, and the
-        // shared pool of job slots, exactly the constraints the real
-        // scheduler enforced — pricing each job as the per-round model
-        // prices a single-job round (overhead + pooled map/reduce
-        // makespans). A submission's prediction is the finish time of
-        // its last job from admission, so it is directly comparable to
-        // its reported wall clock. On a chain with one slot the
-        // prediction coincides with per-round net time; with slack in
-        // the DAG and slots > 1 it is what barrier-free overlap should
-        // achieve.
-        let durations: Vec<f64> = (0..total)
-            .map(|gid| {
-                let js = state.results[gid].as_ref().expect("all jobs completed");
-                RoundStats::pooled(std::iter::once(js), cluster, overhead).net_time()
-            })
+        let jobs: Vec<JobStats> = state
+            .results
+            .into_iter()
+            .map(|js| js.expect("all jobs completed"))
             .collect();
-        let finish_times = gumbo_mr::estimate::list_schedule_finish_times_by(
-            &durations,
-            &global_deps,
-            self.config.effective_workers(),
-            |_| 0.0,
-        );
 
-        let mut out = Vec::with_capacity(dags.len());
-        for (s, dag) in dags.iter().enumerate() {
-            let job_stats: Vec<JobStats> = (0..dag.len())
-                .map(|node| {
-                    state.results[offset[s] + node]
-                        .clone()
-                        .expect("all jobs completed")
-                })
-                .collect();
-            let mut stats = ProgramStats::default();
-            for round in 0..dag.num_rounds() {
-                stats.round_stats.push(RoundStats::pooled(
-                    job_stats.iter().filter(|js| js.round == round),
-                    cluster,
-                    overhead,
-                ));
-            }
-            stats.predicted_net_time = Some(
-                (0..dag.len())
-                    .map(|node| finish_times[offset[s] + node])
-                    .fold(0.0, f64::max),
-            );
-            stats.jobs = job_stats;
-            let wall = state.finished_at[s]
-                .map(|t| t.duration_since(started).as_secs_f64())
-                .unwrap_or(0.0);
-            out.push(DagRun {
-                stats,
-                wall_seconds: wall,
-                // Empty DAGs complete the moment the scheduler starts.
-                completed_ns: state.finished_ns[s].unwrap_or(started_ns),
-            });
+        // Predicted DAG net time: list-schedule the jobs over the DAG's
+        // edges and the pool of job slots — exactly the constraints the
+        // real scheduler enforced — pricing each job as the per-round
+        // model prices a single-job round (overhead + pooled map/reduce
+        // makespans). On a chain with one slot the prediction coincides
+        // with per-round net time; with slack in the DAG and slots > 1 it
+        // is what barrier-free overlap should achieve.
+        let durations: Vec<f64> = jobs
+            .iter()
+            .map(|js| RoundStats::pooled(std::iter::once(js), cluster, overhead).net_time())
+            .collect();
+        let deps: Vec<&[usize]> = dag.nodes().iter().map(|n| n.deps()).collect();
+        let finish_times =
+            list_schedule_finish_times(&durations, &deps, self.config.effective_workers());
+
+        let mut stats = ProgramStats::default();
+        for round in 0..dag.num_rounds() {
+            stats.round_stats.push(RoundStats::pooled(
+                jobs.iter().filter(|js| js.round == round),
+                cluster,
+                overhead,
+            ));
         }
-        Ok(out)
+        stats.predicted_net_time = Some(finish_times.into_iter().fold(0.0, f64::max));
+        stats.jobs = jobs;
+        Ok(stats)
     }
 }
 
@@ -702,51 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_tenant_submissions_report_separately() {
-        let dfs = dfs_with(&["R", "S"]);
-        // Tenant a: R → A1 → A2 (a chain); tenant b: S → B1 (one job).
-        let mut pa = MrProgram::new();
-        pa.push_job(copy_job("a1", "R", "A1"));
-        pa.push_job(copy_job("a2", "A1", "A2"));
-        let mut pb = MrProgram::new();
-        pb.push_job(copy_job("b1", "S", "B1"));
-
-        let subs = vec![Submission::new("a", pa), Submission::new("b", pb)];
-        let reports = DagScheduler::default()
-            .execute_many(&executor(), &dfs, &subs)
-            .unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].tenant, "a");
-        assert_eq!(reports[0].stats.num_jobs(), 2);
-        assert_eq!(reports[0].stats.num_rounds(), 2);
-        assert_eq!(reports[1].tenant, "b");
-        assert_eq!(reports[1].stats.num_jobs(), 1);
-        assert!(reports.iter().all(|r| r.wall_seconds >= 0.0));
-        assert_eq!(dfs.peek(&"A2".into()).unwrap().len(), 50);
-        assert_eq!(dfs.peek(&"B1".into()).unwrap().len(), 50);
-    }
-
-    #[test]
-    fn cross_submission_conflicts_serialize_in_admission_order() {
-        // Both tenants write Out; admission order must win, exactly as if
-        // the two programs had run back to back.
-        let dfs = dfs_with(&["R", "S"]);
-        let mut p1 = MrProgram::new();
-        p1.push_job(copy_job("first", "R", "Out"));
-        let mut p2 = MrProgram::new();
-        p2.push_job(copy_job("second", "S", "Out"));
-        let subs = vec![Submission::new("t1", p1), Submission::new("t2", p2)];
-        DagScheduler::default()
-            .execute_many(&executor(), &dfs, &subs)
-            .unwrap();
-        // S's tuples (base 10) won: the later submission overwrote.
-        assert!(dfs
-            .peek(&"Out".into())
-            .unwrap()
-            .contains(&Tuple::from_ints(&[10, 0])));
-    }
-
-    #[test]
     fn shared_budget_spills_under_concurrency_and_matches_barrier() {
         use gumbo_mr::MemBudget;
 
@@ -855,81 +562,6 @@ mod tests {
         // Identical jobs either way, so p1 is exactly the serial sum.
         let per_job: f64 = p1 / 2.0;
         assert!((p2 - per_job).abs() < 1e-9, "two equal jobs overlap fully");
-    }
-
-    /// Multi-tenant predictions come from one *global* simulation: a
-    /// later submission that serializes behind an earlier one (conflict
-    /// edge + single slot) is predicted to finish later, not priced as
-    /// if it ran alone on a free pool.
-    #[test]
-    fn multi_tenant_prediction_accounts_for_contention() {
-        let dfs = dfs_with(&["R", "S"]);
-        // Both tenants write Out: cross-submission conflict serializes
-        // them in admission order, and the pool has one slot anyway.
-        let mut p1 = MrProgram::new();
-        p1.push_job(copy_job("first", "R", "Out"));
-        let mut p2 = MrProgram::new();
-        p2.push_job(copy_job("second", "S", "Out"));
-        let subs = vec![Submission::new("t1", p1), Submission::new("t2", p2)];
-        let sched = DagScheduler::new(SchedulerConfig {
-            max_concurrent_jobs: 1,
-            ..SchedulerConfig::default()
-        });
-        let reports = sched.execute_many(&executor(), &dfs, &subs).unwrap();
-        let p_first = reports[0].stats.predicted_net_time.unwrap();
-        let p_second = reports[1].stats.predicted_net_time.unwrap();
-        assert!(
-            p_second > p_first,
-            "serialized tenant must be predicted later: {p_second} vs {p_first}"
-        );
-        // The second tenant's completion is the sum of both jobs' costs.
-        let total: f64 = reports
-            .iter()
-            .flat_map(|r| r.stats.jobs.iter())
-            .map(|js| {
-                RoundStats::pooled(
-                    std::iter::once(js),
-                    executor().config.cluster,
-                    executor().config.constants.job_overhead,
-                )
-                .net_time()
-            })
-            .sum();
-        assert!((p_second - total).abs() < 1e-9, "{p_second} vs {total}");
-    }
-
-    #[test]
-    fn placement_policies_agree_on_answers_and_stats() {
-        // A program with both width (round 1) and a dependent tail.
-        let program = || {
-            let mut p = MrProgram::new();
-            p.push_round(vec![
-                copy_job("x", "R", "X"),
-                copy_job("y", "R", "Y"),
-                copy_job("z", "R", "Z"),
-            ]);
-            p.push_job(copy_job("t", "X", "T"));
-            p
-        };
-        let exec = executor();
-        let dfs_fifo = dfs_with(&["R"]);
-        let fifo = DagScheduler::new(SchedulerConfig {
-            placement: PlacementPolicy::Fifo,
-            ..SchedulerConfig::default()
-        })
-        .execute_program(&exec, &dfs_fifo, program())
-        .unwrap();
-        for policy in [PlacementPolicy::Sjf, PlacementPolicy::CriticalPath] {
-            let dfs = dfs_with(&["R"]);
-            let stats = DagScheduler::new(SchedulerConfig {
-                placement: policy,
-                ..SchedulerConfig::default()
-            })
-            .execute_program(&exec, &dfs, program())
-            .unwrap();
-            crate::equivalence::assert_identical_dfs(policy.label(), &dfs_fifo, &dfs);
-            crate::equivalence::assert_identical_stats(policy.label(), &fifo, &stats);
-        }
     }
 
     #[test]

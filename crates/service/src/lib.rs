@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use gumbo_obs::{Counter, Gauge};
 
 pub use client::{QueryReply, ServiceClient, ServiceError};
-pub use protocol::{Frame, Request, FRAME_ROWS};
+pub use protocol::{Frame, Request, SubmissionReport, FRAME_ROWS};
 pub use server::{serve, ServeConfig, ServeSummary, ServerHandle};
 
 /// Connections accepted by the server.

@@ -33,7 +33,6 @@
 
 use gumbo_common::{Relation, Tuple, Value};
 use gumbo_obs::json::Json;
-use gumbo_sched::SubmissionReport;
 
 /// Rows per `frame` line: small enough to keep lines readable and
 /// interleave progress, large enough to amortize the JSON framing.
@@ -415,6 +414,38 @@ pub fn stats_to_json(
         ));
     }
     Json::obj(fields)
+}
+
+/// What one submission got out of the service: its statistics and its
+/// timestamps on the obs monotonic clock ([`gumbo_obs::now_ns`]).
+#[derive(Debug)]
+pub struct SubmissionReport {
+    /// The submitting tenant.
+    pub tenant: String,
+    /// Per-job and per-round statistics, identical to what the
+    /// round-barrier path would have produced for the same program.
+    pub stats: gumbo_mr::ProgramStats,
+    /// Real elapsed time from admission to the last committed job, in
+    /// seconds.
+    pub wall_seconds: f64,
+    /// When the submission entered the admission queue.
+    pub queued_ns: u64,
+    /// When the submission was admitted to a dispatcher.
+    pub admitted_ns: u64,
+    /// When the submission's last job committed.
+    pub completed_ns: u64,
+}
+
+impl SubmissionReport {
+    /// Time spent waiting in the admission queue, in nanoseconds.
+    pub fn queue_wait_ns(&self) -> u64 {
+        self.admitted_ns.saturating_sub(self.queued_ns)
+    }
+
+    /// Time from admission to completion, in nanoseconds.
+    pub fn service_ns(&self) -> u64 {
+        self.completed_ns.saturating_sub(self.admitted_ns)
+    }
 }
 
 /// Lower a [`SubmissionReport`] (plus the admission-time estimated cost)

@@ -37,11 +37,11 @@ use std::time::{Duration, Instant};
 use gumbo_common::Relation;
 use gumbo_core::GumboEngine;
 use gumbo_mr::{Executor, ProgramStats};
-use gumbo_sched::{AdmissionConfig, AdmissionQueue, QueuedEntry, SubmissionReport};
+use gumbo_sched::{AdmissionConfig, AdmissionQueue, QueuedEntry};
 use gumbo_sgf::{parse_program, SgfQuery};
 use gumbo_storage::Dfs;
 
-use crate::protocol::{relation_frames, report_to_json, Frame, Request};
+use crate::protocol::{relation_frames, report_to_json, Frame, Request, SubmissionReport};
 use crate::{
     drain_requested, SVC_ADMITTED, SVC_COMPLETED, SVC_CONNECTIONS, SVC_FRAMES, SVC_QUEUE_DEPTH,
     SVC_SUBMITTED,

@@ -33,8 +33,7 @@
 //! gumbo-cli --data DIR --query FILE | --preset NAME [--tuples N]
 //!           [--strategy greedy|par|sequnit|parunit|one-round|dynamic]
 //!           [--executor parallel|parallel:N]
-//!           [--scheduler rounds|dag] [--max-jobs N]
-//!           [--placement fifo|sjf|cp] [--cores N]
+//!           [--scheduler rounds|dag] [--max-jobs N] [--cores N]
 //!           [--mem-budget BYTES|unlimited] [--spill-compress]
 //!           [--dfs sim|file:PATH] [--dfs-cache BYTES]
 //!           [--trace PATH] [--trace-format chrome|jsonl]
@@ -56,14 +55,12 @@
 //! byte-identical at every pool size.
 //!
 //! `--scheduler dag` executes the planned jobs on the dependency-driven
-//! DAG scheduler (at most `--max-jobs` concurrent jobs) instead of the
-//! default round-barrier path; results and statistics are identical.
-//! `--placement` picks the ready-queue order (`fifo` arrival order,
-//! `sjf` shortest-estimated-job-first, `cp` critical-path) over the
-//! estimation layer's per-job cost annotations; `--cores N` sizes each
-//! job's worker pool from its estimate under a total-core budget (the
-//! parallel runtime only). All policies produce byte-identical results —
-//! scheduled runs additionally report the predicted DAG net time.
+//! DAG scheduler (at most `--max-jobs` concurrent jobs, ready jobs
+//! claimed in FIFO order) instead of the default round-barrier path;
+//! results and statistics are identical, and scheduled runs additionally
+//! report the predicted DAG net time. `--cores N` sizes each job's worker
+//! pool from its estimate under a total-core budget (the parallel
+//! runtime only).
 //!
 //! `--mem-budget` bounds tracked shuffle memory (bytes, with optional
 //! `k`/`m`/`g` binary suffix): per-reducer buffers spill sorted runs to a
@@ -120,7 +117,6 @@ struct Args {
     executor: gumbo::mr::ExecutorKind,
     scheduler: String,
     max_jobs: usize,
-    placement: gumbo::sched::PlacementPolicy,
     cores: usize,
     mem_budget: gumbo::mr::MemBudget,
     spill_compress: bool,
@@ -140,8 +136,7 @@ const USAGE: &str = "usage: gumbo-cli [serve|query|shutdown] ... (see --help per
                      gumbo-cli --data DIR --query FILE | --preset NAME [--tuples N] \
                      [--strategy greedy|par|sequnit|parunit|one-round|dynamic] \
                      [--executor parallel|parallel:N] \
-                     [--scheduler rounds|dag] [--max-jobs N] \
-                     [--placement fifo|sjf|cp] [--cores N] \
+                     [--scheduler rounds|dag] [--max-jobs N] [--cores N] \
                      [--mem-budget BYTES|unlimited] [--spill-compress] \
                      [--dfs sim|file:PATH] [--dfs-cache BYTES] \
                      [--trace PATH] [--trace-format chrome|jsonl] \
@@ -158,7 +153,6 @@ fn parse_args() -> Result<Args, String> {
         executor: gumbo::mr::ExecutorKind::default(),
         scheduler: "rounds".into(),
         max_jobs: 4,
-        placement: gumbo::sched::PlacementPolicy::Fifo,
         cores: 0,
         mem_budget: gumbo::mr::MemBudget::UNLIMITED,
         spill_compress: false,
@@ -210,11 +204,6 @@ fn parse_args() -> Result<Args, String> {
                 args.max_jobs = need(&mut i, &argv)?
                     .parse()
                     .map_err(|e| format!("--max-jobs: {e}"))?
-            }
-            "--placement" => {
-                let spec = need(&mut i, &argv)?;
-                args.placement = gumbo::sched::PlacementPolicy::parse(&spec)
-                    .ok_or_else(|| format!("--placement: fifo|sjf|cp, got {spec}"))?;
             }
             "--cores" => {
                 args.cores = need(&mut i, &argv)?
@@ -339,24 +328,22 @@ fn options_for(args: &Args) -> Result<EvalOptions, String> {
     };
     if args.spill_compress && !args.mem_budget.is_limited() {
         // Nothing ever spills under an unlimited budget, so the flag
-        // would be a silent no-op — reject it like --placement below.
+        // would be a silent no-op — reject it like --cores below.
         return Err("--spill-compress requires a limited --mem-budget".into());
     }
     let budget = args.mem_budget.compressed(args.spill_compress);
     options.mem_budget = budget;
-    if args.scheduler != "dag"
-        && (args.placement != gumbo::sched::PlacementPolicy::Fifo || args.cores != 0)
-    {
-        // Silently ignoring these would let a user believe they
-        // benchmarked a placement policy on the round-barrier path.
-        return Err("--placement/--cores require --scheduler dag".into());
+    if args.scheduler != "dag" && args.cores != 0 {
+        // Silently ignoring it would let a user believe they sized
+        // per-job pools on the round-barrier path.
+        return Err("--cores requires --scheduler dag".into());
     }
     if args.scheduler == "dag" {
         options.scheduler = Some(SchedulerConfig {
             max_concurrent_jobs: args.max_jobs,
             threads_per_job: 0,
             mem_budget: budget,
-            placement: args.placement,
+            placement: gumbo::sched::PlacementPolicy::Fifo,
             core_budget: args.cores,
         });
     }
@@ -488,9 +475,8 @@ fn run(args: Args) -> Result<(), String> {
         eprintln!("estimated plan cost      : {cost:.1}");
         if let Some(sched) = options.scheduler {
             eprintln!(
-                "scheduler                : dag (max {} concurrent jobs, placement {})",
+                "scheduler                : dag (max {} concurrent jobs)",
                 sched.effective_workers(),
-                sched.placement.label(),
             );
         } else {
             eprintln!("scheduler                : round barrier");
@@ -991,17 +977,5 @@ mod tests {
         assert!(budget_check(0, Some(5)).is_ok());
         // Unlimited budgets never fail, whatever the tracked peak.
         assert!(budget_check(u64::MAX, None).is_ok());
-    }
-
-    #[test]
-    fn placement_policies_parse_from_cli_spellings() {
-        use gumbo::sched::PlacementPolicy;
-        assert_eq!(PlacementPolicy::parse("fifo"), Some(PlacementPolicy::Fifo));
-        assert_eq!(PlacementPolicy::parse("sjf"), Some(PlacementPolicy::Sjf));
-        assert_eq!(
-            PlacementPolicy::parse("cp"),
-            Some(PlacementPolicy::CriticalPath)
-        );
-        assert_eq!(PlacementPolicy::parse("best"), None);
     }
 }

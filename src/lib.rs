@@ -50,7 +50,7 @@
 //! | [`gumbo_storage`] | `Dfs` trait with simulated and durable file-segment backends, byte accounting, LRU block cache, sampling |
 //! | [`gumbo_obs`] | zero-dependency tracing and metrics: spans, events, counters, ring/JSONL/Chrome-trace sinks |
 //! | [`gumbo_mr`] | `Executor` trait and its worker-pool runtime, columnar bounded-memory shuffle, job DAGs, cluster model, cost models |
-//! | [`gumbo_sched`] | dependency-driven DAG scheduler, multi-tenant submissions |
+//! | [`gumbo_sched`] | dependency-driven DAG scheduler, fair-share admission queue |
 //! | [`gumbo_core`] | MSJ, EVAL, 1-ROUND fusion, plans, greedy + optimal planners |
 //! | [`gumbo_service`] | resident multi-tenant query service: TCP protocol, fair-share admission, streaming client |
 //! | [`gumbo_baselines`] | SEQ chains, PAR presets, Pig/Hive simulators |
@@ -107,7 +107,7 @@ pub mod prelude {
     };
     pub use gumbo_sched::{
         AdmissionConfig, AdmissionQueue, DagScheduler, FairShareLedger, PlacementPolicy,
-        SchedulerConfig, Submission, SubmissionReport,
+        SchedulerConfig,
     };
     pub use gumbo_service::{
         serve, QueryReply, ServeConfig, ServeSummary, ServerHandle, ServiceClient, ServiceError,

@@ -47,7 +47,7 @@ fn presets() -> Vec<gumbo::datagen::Workload> {
 }
 
 /// One definition of "observationally identical", shared with the
-/// `dagsched` benchmark and the scheduler's own unit tests —
+/// scheduler's own unit tests and the `spill`/`dfs` experiments —
 /// byte-identical DFS contents (metered I/O included), identical per-job
 /// statistics, and exact agreement on the paper's four metrics.
 fn assert_equivalent(
@@ -135,12 +135,10 @@ fn dag_scheduler_with_tiny_budget_matches_unbudgeted_round_barrier() {
 }
 
 #[test]
-fn placement_policies_match_round_barrier_on_every_preset() {
-    // The ISSUE-4 acceptance matrix: all three placement policies ×
-    // {1, 2 workers} × {unlimited, tiny budget}, on every datagen
-    // preset — byte-identical relations and identical non-timing
-    // statistics versus the round barrier. Placement reorders only
-    // ready jobs, so nothing observable may change.
+fn dag_scheduler_matches_round_barrier_across_workers_and_budgets() {
+    // {1, 2 workers} × {unlimited, tiny budget} on three job slots, on
+    // every datagen preset — byte-identical relations and identical
+    // non-timing statistics versus the round barrier.
     const BUDGET: u64 = 4096;
     for workload in presets() {
         let db = workload.spec.clone().with_tuples(120).database(11);
@@ -154,68 +152,57 @@ fn placement_policies_match_round_barrier_on_every_preset() {
             "the barrier path has no DAG to predict over"
         );
 
-        for policy in PlacementPolicy::ALL {
-            for executor in [
-                ExecutorKind::default(),
-                ExecutorKind::Parallel { threads: 2 },
-            ] {
-                for budget in [None, Some(BUDGET)] {
-                    let scheduler = Some(SchedulerConfig {
-                        max_concurrent_jobs: 3,
-                        placement: policy,
-                        mem_budget: budget
-                            .map(gumbo::mr::MemBudget::bytes)
-                            .unwrap_or(gumbo::mr::MemBudget::UNLIMITED),
-                        ..SchedulerConfig::default()
-                    });
-                    let dfs_dag = SimDfs::from_database(&db);
-                    let stats_dag = engine(scheduler, executor)
-                        .evaluate(&dfs_dag, &workload.query)
-                        .unwrap_or_else(|e| {
-                            panic!("{} ({} {:?}): {e}", workload.name, policy.label(), executor)
-                        });
-                    let label = format!(
-                        "{} (policy {}, executor {}, budget {budget:?})",
-                        workload.name,
-                        policy.label(),
-                        executor.label(),
-                    );
-                    assert_equivalent(&label, &dfs_rounds, &stats_rounds, &dfs_dag, &stats_dag);
-                    assert!(
-                        stats_dag.predicted_net_time.is_some(),
-                        "{label}: scheduled runs report a predicted DAG net time"
-                    );
-                }
+        for executor in [
+            ExecutorKind::default(),
+            ExecutorKind::Parallel { threads: 2 },
+        ] {
+            for budget in [None, Some(BUDGET)] {
+                let scheduler = Some(SchedulerConfig {
+                    max_concurrent_jobs: 3,
+                    mem_budget: budget
+                        .map(gumbo::mr::MemBudget::bytes)
+                        .unwrap_or(gumbo::mr::MemBudget::UNLIMITED),
+                    ..SchedulerConfig::default()
+                });
+                let label = format!(
+                    "{} (executor {}, budget {budget:?})",
+                    workload.name,
+                    executor.label(),
+                );
+                let dfs_dag = SimDfs::from_database(&db);
+                let stats_dag = engine(scheduler, executor)
+                    .evaluate(&dfs_dag, &workload.query)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_equivalent(&label, &dfs_rounds, &stats_rounds, &dfs_dag, &stats_dag);
+                assert!(
+                    stats_dag.predicted_net_time.is_some(),
+                    "{label}: scheduled runs report a predicted DAG net time"
+                );
             }
         }
     }
 }
 
 #[test]
-fn predicted_net_time_is_policy_invariant_and_positive() {
-    // The prediction is deterministic list scheduling over the job DAG
-    // with policy-independent tie-breaking: every placement policy must
-    // report exactly the same number for the same program.
+fn predicted_net_time_is_deterministic_and_positive() {
+    // The prediction is deterministic list scheduling over the job DAG:
+    // two runs of the same program report exactly the same number.
     let workload = queries::c1().with_tuples(200);
     let db = workload.spec.database(5);
-    let mut predictions = Vec::new();
-    for policy in PlacementPolicy::ALL {
+    let predict = || {
         let scheduler = Some(SchedulerConfig {
             max_concurrent_jobs: 4,
-            placement: policy,
             ..SchedulerConfig::default()
         });
         let dfs = SimDfs::from_database(&db);
         let stats = engine(scheduler, ExecutorKind::default())
             .evaluate(&dfs, &workload.query)
             .unwrap();
-        let predicted = stats.predicted_net_time.unwrap();
-        assert!(predicted > 0.0, "{}: {predicted}", policy.label());
-        predictions.push(predicted);
-    }
-    for p in &predictions[1..] {
-        assert!((p - predictions[0]).abs() < 1e-9, "{predictions:?}");
-    }
+        stats.predicted_net_time.unwrap()
+    };
+    let (first, second) = (predict(), predict());
+    assert!(first > 0.0, "{first}");
+    assert_eq!(first, second);
 }
 
 #[test]
